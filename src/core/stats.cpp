@@ -23,7 +23,7 @@ bool stats_valid(const Stats& s) noexcept {
 }
 
 Stats StatsBoard::compute() const {
-  if (ndeposited_ == 0) return Stats{kNaN, kNaN, kNaN};
+  if (deposited() == 0) return Stats{kNaN, kNaN, kNaN};
   Stats s;
   s.min = values_.front();
   s.max = values_.front();

@@ -7,6 +7,7 @@
 // Revisited", see DESIGN.md).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -47,14 +48,15 @@ class StatsBoard {
   void deposit(int rank, double v) {
     const auto i = static_cast<std::size_t>(rank);
     values_[i] = v;
-    if (!touched_[i]) {
-      touched_[i] = 1;
-      ++ndeposited_;
-    }
+    touched_[i] = 1;  // each rank writes only its own slots: no shared count
   }
 
-  /// Ranks that have deposited at least once since construction.
-  [[nodiscard]] int deposited() const noexcept { return ndeposited_; }
+  /// Ranks that have deposited at least once since construction.  Like
+  /// compute(), call only after a barrier following the deposits.
+  [[nodiscard]] int deposited() const noexcept {
+    return static_cast<int>(
+        std::count(touched_.begin(), touched_.end(), char{1}));
+  }
 
   /// Call only after a barrier following the deposits of interest.
   /// A board no rank ever deposited into yields NaN stats (see
@@ -65,7 +67,6 @@ class StatsBoard {
  private:
   std::vector<double> values_;
   std::vector<char> touched_;  ///< not vector<bool>: plain byte flags
-  int ndeposited_ = 0;
 };
 
 /// Repetition-level summary over n samples of one configuration.

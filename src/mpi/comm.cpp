@@ -79,12 +79,8 @@ Status Comm::recv(MutView v, int src, int tag) const {
     chk->on_touch(my_world_, context_, v.data, v.bytes,
                   check::Checker::Access::kWrite, "recv");
   }
-  const int src_comm_filter = src;  // comm-local; engine matches on it
-  // The world rank behind an exact source names the sender's SPSC ring,
-  // enabling the mailbox's lock-free exact-match pop.
-  const int src_world_hint = src == kAnySource ? -1 : world_rank(src);
-  return engine_->recv(my_world_, context_, src_comm_filter, tag, v,
-                       src_world_hint);
+  // `src` is comm-local; the engine matches on it.
+  return engine_->recv(my_world_, context_, src, tag, v);
 }
 
 Status Comm::sendrecv(ConstView s, int dst, int stag, MutView r, int src,
@@ -160,8 +156,7 @@ std::optional<Comm> Comm::split(int color, int key) const {
       std::vector<std::int32_t> buf(2);
       MutView mv{reinterpret_cast<std::byte*>(buf.data()),
                  buf.size() * sizeof(std::int32_t), net::MemSpace::kHost};
-      (void)engine_->recv(my_world_, context_, r, kSplitGatherTag, mv,
-                          world_rank(r));
+      (void)engine_->recv(my_world_, context_, r, kSplitGatherTag, mv);
       entries[static_cast<std::size_t>(r)] = {buf[0], buf[1]};
     }
 
@@ -219,8 +214,7 @@ std::optional<Comm> Comm::split(int color, int key) const {
     reply.resize(st.bytes / sizeof(std::int32_t));
     MutView mv{reinterpret_cast<std::byte*>(reply.data()), st.bytes,
                net::MemSpace::kHost};
-    (void)engine_->recv(my_world_, context_, 0, kSplitReplyTag, mv,
-                        world_rank(0));
+    (void)engine_->recv(my_world_, context_, 0, kSplitReplyTag, mv);
   }
 
   OMBX_REQUIRE(reply.size() >= 3, "malformed split reply");

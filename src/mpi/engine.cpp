@@ -21,8 +21,8 @@ Engine::Engine(net::NetworkModel model, int nranks, PayloadMode payload,
   mail_.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     ranks_.push_back(std::make_unique<RankState>());
-    mail_.push_back(std::make_unique<Mailbox>(mailbox_capacity, &registry_,
-                                              r, /*max_src_world=*/nranks));
+    mail_.push_back(
+        std::make_unique<Mailbox>(mailbox_capacity, &registry_, r));
   }
   oversub_ = model_.oversubscription_factor(thread_level_);
 }
@@ -267,7 +267,7 @@ std::shared_ptr<SyncCell> Engine::post_send(int src_world, int dst_world,
 }
 
 Status Engine::recv(int self_world, int ctx, int src_comm_rank, int tag,
-                    MutView v, int src_world_hint) {
+                    MutView v) {
   check_failures(self_world);
   RankState& st = state(self_world);
   const usec_t recv_posted = st.clock.now();
@@ -277,7 +277,7 @@ Status Engine::recv(int self_world, int ctx, int src_comm_rank, int tag,
   Message msg;
   try {
     msg = mail_[static_cast<std::size_t>(self_world)]->dequeue_match(
-        ctx, src_comm_rank, tag, src_world_hint);
+        ctx, src_comm_rank, tag);
   } catch (const ft::ProcFailedError& e) {
     ft_observe_interrupt(self_world, e.at_time_us(), /*proc_failed=*/true);
     throw;
@@ -693,20 +693,6 @@ void Engine::enable_metrics() {
   for (int r = 0; r < nranks(); ++r) {
     mail_[static_cast<std::size_t>(r)]->set_counters(&metrics_->rank(r));
   }
-}
-
-Engine::FastPathTotals Engine::fast_path_totals() const noexcept {
-  FastPathTotals t;
-  for (const auto& mb : mail_) {
-    const Mailbox::FastStats s = mb->fast_stats();
-    t.fast_enqueues += s.fast_enqueues;
-    t.slow_enqueues += s.slow_enqueues;
-    t.fast_hits += s.fast_hits;
-    t.fast_fallbacks += s.fast_fallbacks;
-    t.drained += s.drained;
-    t.ring_depth_hwm = std::max(t.ring_depth_hwm, s.ring_depth_hwm);
-  }
-  return t;
 }
 
 void Engine::enable_checking(check::Mode mode) {

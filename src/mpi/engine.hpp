@@ -142,12 +142,7 @@ class Engine {
                                           SendBuffering::kBuffered);
 
   /// Blocking receive into `v`; returns completion Status.
-  /// `src_world_hint` (optional) is the world rank behind `src_comm_rank`
-  /// when the caller knows it (Comm::recv always does for exact sources);
-  /// it enables the mailbox's lock-free exact-match pop.  -1 is always
-  /// correct.
-  Status recv(int self_world, int ctx, int src_comm_rank, int tag, MutView v,
-              int src_world_hint = -1);
+  Status recv(int self_world, int ctx, int src_comm_rank, int tag, MutView v);
 
   /// Block on a rendezvous cell posted by `world_rank`, registering the
   /// wait with the watchdog; advances the rank's clock on completion.
@@ -266,21 +261,17 @@ class Engine {
   void run_check_audit();
 
   /// Recycled payload storage for eager / buffered-rendezvous messages
-  /// (exposed for the wall-clock bench and pool tests).
+  /// (exposed for hostbench and the pool tests).
   [[nodiscard]] PayloadPool& payload_pool() noexcept { return pool_; }
 
-  /// Aggregated mailbox fast-/slow-path split across all ranks (see
-  /// Mailbox::FastStats).  Host-timing-dependent by nature, so surfaced
-  /// here for benches/diagnostics instead of the deterministic obs CSV.
+  /// Lock-free mailbox hits and fallbacks.  The mailbox has one locked
+  /// path, so both are always zero; kept so that tools reading them
+  /// (hostbench) keep compiling.
   struct FastPathTotals {
-    std::uint64_t fast_enqueues = 0;
-    std::uint64_t slow_enqueues = 0;
     std::uint64_t fast_hits = 0;
     std::uint64_t fast_fallbacks = 0;
-    std::uint64_t drained = 0;
-    std::uint64_t ring_depth_hwm = 0;  ///< max over ranks
   };
-  [[nodiscard]] FastPathTotals fast_path_totals() const noexcept;
+  [[nodiscard]] FastPathTotals fast_path_totals() const noexcept { return {}; }
 
  private:
   /// Throws AbortedError when an abort is pending and RankKilledError when

@@ -60,7 +60,7 @@ void Mailbox::rehash(std::size_t new_slots) {
 Mailbox::Bin& Mailbox::obtain_bin(int ctx, int src, int tag) {
   if (Bin* b = find_bin(ctx, src, tag)) return *b;
   if ((bins_.size() + 1) * 2 > table_.size()) rehash(table_.size() * 2);
-  bins_.push_back(Bin{ctx, src, tag, {}});
+  bins_.push_back(Bin{ctx, src, tag, 0, {}});
   Bin& b = bins_.back();
   const std::size_t mask = table_.size() - 1;
   std::size_t i = hash_key(ctx, src, tag) & mask;
@@ -152,351 +152,75 @@ void Mailbox::commit_wildcard_slow_locked(const Bin& bin, int ctx, int src,
   const bool divergent =
       !cands.empty() &&
       !(cands.front().src == bin.src && cands.front().tag == bin.tag);
-  if (auto* c = counters_.load(std::memory_order_relaxed)) {
-    obs::bump(c->sched_wildcard_decisions);
-    if (divergent) obs::bump(c->sched_forced_divergences);
+  if (counters_ != nullptr) {
+    obs::bump(counters_->sched_wildcard_decisions);
+    if (divergent) obs::bump(counters_->sched_forced_divergences);
   }
   oracle_->record_wildcard(owner_, ctx, bin.src, bin.tag, forced, divergent,
                            std::move(cands));
 }
 
-void Mailbox::note_take(int ctx, int src, int tag, bool wildcard) noexcept {
-  auto* c = counters_.load(std::memory_order_relaxed);
-  // Without counters the last-take key would never be read, so skip its
-  // maintenance too — the hot take path then pays only this null check.
-  if (c == nullptr) return;
-  // Classified in receiver program order (see obs/metrics.hpp): an MRU
-  // hit is an exact dequeue with the same key as the previous successful
-  // dequeue — deterministic, and path-independent (a fast pop and a
-  // locked take of the same message classify identically).
-  if (wildcard) {
-    obs::bump(c->mailbox_wildcard_scans);
-  } else if (has_last_take_ && ctx == last_take_ctx_ &&
-             src == last_take_src_ && tag == last_take_tag_) {
-    obs::bump(c->mailbox_mru_hits);
-  } else {
-    obs::bump(c->mailbox_exact_hits);
-  }
-  has_last_take_ = true;
-  last_take_ctx_ = ctx;
-  last_take_src_ = src;
-  last_take_tag_ = tag;
-}
-
 Message Mailbox::take_locked(Bin& bin, bool wildcard) {
-  note_take(bin.ctx, bin.src, bin.tag, wildcard);
+  // Classified in receiver program order (see obs/metrics.hpp), so the
+  // counts are deterministic.  Without counters the previous-take bin is
+  // never read, so the hot take path pays only the null check.
+  if (counters_ != nullptr) {
+    if (wildcard) {
+      obs::bump(counters_->mailbox_wildcard_scans);
+    } else if (&bin == last_take_) {
+      obs::bump(counters_->mailbox_mru_hits);
+    } else {
+      obs::bump(counters_->mailbox_exact_hits);
+    }
+    last_take_ = &bin;
+  }
   Message msg = std::move(bin.q.front());
   bin.q.pop_front();
   if (!bin.q.empty()) bin.front_seq = bin.q.front().seq;
-  // Under m_ (single writer).  A fast pop that reads the decrement late
-  // merely takes a spurious fallback — never a wrong order.
-  locked_msgs_.store(locked_msgs_.load(std::memory_order_relaxed) - 1,
-                     std::memory_order_release);
+  --queued_;
   if (registry_) registry_->note_progress();
-  if (drain_waiters_.load(std::memory_order_relaxed) > 0) {
-    drained_.notify_all();
-  }
+  if (drain_waiters_ > 0) drained_.notify_all();
   return msg;
 }
 
-void Mailbox::insert_sorted(Bin& bin, Message&& msg) {
-  // In-order arrival (the overwhelmingly common case) appends; a drain
-  // that moves ring-resident messages into a bin that already received a
-  // newer slow-path enqueue inserts by seq, restoring global order.
-  if (bin.q.empty() || bin.q.back().seq < msg.seq) {
-    if (bin.q.empty()) bin.front_seq = msg.seq;
-    bin.q.push_back(std::move(msg));
-    return;
-  }
-  const auto it = std::upper_bound(
-      bin.q.begin(), bin.q.end(), msg.seq,
-      [](std::uint64_t seq, const Message& m) { return seq < m.seq; });
-  const bool at_front = it == bin.q.begin();
-  if (at_front) bin.front_seq = msg.seq;
-  bin.q.insert(it, std::move(msg));
-}
-
-Mailbox::SpscRing* Mailbox::obtain_ring(std::size_t s) {
-  std::lock_guard<std::mutex> lk(m_);
-  if (SpscRing* r = rings_[s].load(std::memory_order_relaxed)) return r;
-  ring_store_.push_back(std::make_unique<SpscRing>());
-  SpscRing* r = ring_store_.back().get();
-  active_rings_.push_back(static_cast<int>(s));
-  rings_[s].store(r, std::memory_order_release);
-  recompute_attention_locked();  // a ring now exists: owner must drain
-  return r;
-}
-
-void Mailbox::drain_rings_slow_locked() {
-  // The rings_quiet_ / active_rings_.empty() gates live in the inline
-  // drain_rings_locked() wrapper (header): the quiet witness — bypass
-  // latched and a later pass saw the rings empty — means no producer can
-  // add a ring message (the post-reservation re-check backs out), so a
-  // latched (hintless-consumer) mailbox skips this call outright and
-  // stays at pre-ring slow-path cost.
-  // Empty-gate before the fence (a plain load on x86, vs ~a fetch_add for
-  // the fence): sound because a producer *reserves* ring_msgs_ with a
-  // seq_cst RMW before its push — if this load misses the reservation,
-  // the single total order puts the producer's post-push waiter-count
-  // read after our waiter registration, so the producer notifies and the
-  // re-run of this drain sees a nonzero count.
-  if (ring_msgs_.load(std::memory_order_seq_cst) == 0) {
-    // With the latch set, an empty ring count is permanent (transient
-    // backed-out reservations aside): any producer whose reservation this
-    // load missed is ordered after it in the seq_cst total order, so its
-    // post-reservation latch re-check sees the latch and backs out.
-    if (ring_bypass_.load(std::memory_order_relaxed)) {
-      rings_quiet_ = true;
-      recompute_attention_locked();
-    }
-    return;
-  }
-  // Pair with the producers' post-push fences: a waiter that registered
-  // before a producer's waiter-count read must see that producer's tail.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  for (const int s : active_rings_) {
-    SpscRing* ring =
-        rings_[static_cast<std::size_t>(s)].load(std::memory_order_relaxed);
-    while (Message* head = ring->peek()) {
-      Message msg = std::move(*head);
-      ring->pop();
-      // Add to the locked count before subtracting from the ring count so
-      // the capacity gate never transiently undercounts.  locked_msgs_ is
-      // only ever written under m_, so a plain load+store suffices (the
-      // release pairs with the fast pop's post-peek gate read — see the
-      // header's memory-order contract).
-      locked_msgs_.store(
-          locked_msgs_.load(std::memory_order_relaxed) + 1,
-          std::memory_order_release);
-      ring_msgs_.fetch_sub(1, std::memory_order_seq_cst);
-      obs::bump(drained_count_);  // single writer: m_ held
-      insert_sorted(obtain_bin(msg.context, msg.src, msg.tag),
-                    std::move(msg));
-      // Rings that only ever feed drains are pure overhead: after enough
-      // consecutive drained messages with no fast pop, tell producers to
-      // enqueue straight into the locked core (see ring_bypass_).
-      if (++drains_since_hit_ >= kRingBypassAfterDrains) {
-        // seq_cst so the latch participates in the single total order the
-        // slow path's plain-stamp argument is built on.
-        ring_bypass_.store(true, std::memory_order_seq_cst);
-      }
-    }
-  }
-}
-
 void Mailbox::enqueue(Message&& msg) {
-  if (fast_ok_.load(std::memory_order_acquire) &&
-      !ring_bypass_.load(std::memory_order_relaxed)) {
-    const auto s = static_cast<std::size_t>(
-        static_cast<unsigned>(msg.src_world));
-    if (s < rings_.size() && total_queued_seq_cst() < capacity_) {
-      SpscRing* ring = rings_[s].load(std::memory_order_acquire);
-      if (ring == nullptr) ring = obtain_ring(s);
-      // Reserve capacity before publishing so the total never undercounts.
-      // The post-reserve count doubles as the ring-resident depth sample
-      // for the high-water mark (the producer-side ring depth would read a
-      // stale head_cache and report up to the full ring size spuriously).
-      const std::uint64_t depth =
-          ring_msgs_.fetch_add(1, std::memory_order_seq_cst) + 1;
-      // Bypass re-check AFTER the reservation: this is what lets the
-      // slow path stamp next_seq_ without an RMW.  A slow enqueue that
-      // holds m_, sees the bypass latched (it cannot unlatch while m_ is
-      // held) and sees ring_msgs_ == 0 knows every fast producer either
-      // reserved earlier (contradiction — the count would be nonzero) or
-      // will land here, observe the latch, and give the reservation back
-      // without ever touching next_seq_.
-      if (!ring_bypass_.load(std::memory_order_seq_cst) &&
-          (msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed),
-           ring->try_push(std::move(msg)))) {
-        ring->pushed.store(
-            ring->pushed.load(std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);  // single writer: this producer
-        if (depth > ring_depth_hwm_.load(std::memory_order_relaxed)) {
-          std::uint64_t hwm =
-              ring_depth_hwm_.load(std::memory_order_relaxed);
-          while (depth > hwm &&
-                 !ring_depth_hwm_.compare_exchange_weak(
-                     hwm, depth, std::memory_order_relaxed)) {
-          }
-        }
-        if (registry_ != nullptr) registry_->note_progress();
-        // Dekker handshake with blocked receivers: publish (tail store),
-        // fence, then read the waiter count — the waiter increments the
-        // count, fences, then re-scans the rings, so at least one side
-        // sees the other and no wakeup is lost.  Skipped entirely when
-        // this producer IS the owner context (self-send): the owner
-        // cannot simultaneously be parked in a receive, so the waiter
-        // count it would read is necessarily zero.  exec_id() is
-        // fiber-aware — two ranks sharing a worker thread still compare
-        // unequal, so the skip never misfires under the fiber scheduler.
-        if (owner_exec_.load(std::memory_order_relaxed) !=
-            sched::exec_id()) {
-          std::atomic_thread_fence(std::memory_order_seq_cst);
-          if (arrival_waiters_.load(std::memory_order_seq_cst) > 0) {
-            { std::lock_guard<std::mutex> lk(m_); }
-            arrived_.notify_all();
-          }
-        }
-        return;
-      }
-      // Ring full (or the bypass latched mid-flight): give the
-      // reservation back and take the locked path.  A burnt sequence
-      // number is harmless — only relative order matters, and the slow
-      // path restamps.
-      ring_msgs_.fetch_sub(1, std::memory_order_seq_cst);
-    }
-  }
-
   std::unique_lock<std::mutex> lk(m_);
-  obs::bump(slow_enqueues_);  // single writer: m_ held
   std::optional<ft::FailureState::Interrupt> ft_it;
-  if (total_queued_seq_cst() >= capacity_ && !poison_) {
+  if (queued_ >= capacity_ && !poison_) {
     // The sender (not the owner) is the one blocked here.  Free capacity
     // wins over an FT interruption: the owner's pre-death drains
     // happen-before its death mark, so the outcome is deterministic.
-    // Senders never drain rings — only the owner consumes them — so this
-    // wait relies on the owner's pops/takes to free space.
     fault::ScopedWait wait(
         registry_, msg.src_world,
         fault::WaitInfo{fault::WaitKind::kSendCapacity, msg.context, owner_,
                         msg.tag});
-    drain_waiters_.fetch_add(1, std::memory_order_seq_cst);
+    ++drain_waiters_;
     drained_.wait(lk, [&] {
-      if (total_queued_seq_cst() < capacity_ || poison_ != nullptr) {
-        return true;
-      }
+      if (queued_ < capacity_ || poison_ != nullptr) return true;
       if (fs_ != nullptr) {
         ft_it = fs_->enqueue_interrupt(owner_);
         if (ft_it) return true;
       }
       return false;
     });
-    drain_waiters_.fetch_sub(1, std::memory_order_seq_cst);
+    --drain_waiters_;
   }
   if (poison_) throw_poisoned_locked();
-  if (total_queued_seq_cst() >= capacity_ && ft_it) {
+  if (queued_ >= capacity_ && ft_it) {
     ft::throw_interrupt(*ft_it, msg.src_world, msg.context);
   }
-  // Stamp.  With the bypass latched (it cannot unlatch while m_ is held)
-  // and no ring reservation in flight, no fast producer can touch
-  // next_seq_ — any newcomer re-checks the latch after reserving and
-  // backs out — so the stamp is a plain load+store, matching the
-  // pre-fast-path cost of this (hintless/wildcard-consumer) regime.
-  // rings_quiet_ (m_-guarded) caches exactly that state, skipping both
-  // seq_cst probes on the steady latched path.
-  if (rings_quiet_ ||
-      (ring_bypass_.load(std::memory_order_seq_cst) &&
-       ring_msgs_.load(std::memory_order_seq_cst) == 0)) {
-    msg.seq = next_seq_.load(std::memory_order_relaxed);
-    next_seq_.store(msg.seq + 1, std::memory_order_relaxed);
-  } else {
-    msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  }
-  insert_sorted(obtain_bin(msg.context, msg.src, msg.tag), std::move(msg));
-  // Written only under m_; the release store is what the fast pop's
-  // post-peek gate re-check observes (via the ring push/peek edge when
-  // this sender later pushes, or via m_ on any locked-path consumer).
-  locked_msgs_.store(locked_msgs_.load(std::memory_order_relaxed) + 1,
-                     std::memory_order_release);
+  msg.seq = next_seq_++;
+  Bin& bin = obtain_bin(msg.context, msg.src, msg.tag);
+  if (bin.q.empty()) bin.front_seq = msg.seq;
+  bin.q.push_back(std::move(msg));
+  ++queued_;
   if (registry_) registry_->note_progress();
-  if (arrival_waiters_.load(std::memory_order_relaxed) > 0) {
-    arrived_.notify_all();
-  }
+  if (arrival_waiters_ > 0) arrived_.notify_all();
 }
 
-void Mailbox::capture_owner_exec() noexcept {
-  // Remember the consumer's execution context (fiber or thread) so
-  // self-send enqueues can skip the Dekker fence.  Compare-then-store
-  // avoids dirtying the line on every receive; under the single-consumer
-  // contract only one context ever reaches here, so the plain store is
-  // race-free.
-  const auto me = sched::exec_id();
-  if (owner_exec_.load(std::memory_order_relaxed) != me) {
-    owner_exec_.store(me, std::memory_order_relaxed);
-  }
-}
-
-std::optional<Message> Mailbox::try_fast_pop(int ctx, int src, int tag,
-                                             int src_world_hint) {
-  // Hintless and wildcard receives can never pop a ring; bail before the
-  // owner capture so the latched (slow-path-only) regime pays nothing
-  // here but this compare.  Skipping the capture is safe: it only feeds
-  // the producer-side Dekker *skip*, so an uncaptured owner merely makes
-  // self-send ring pushes take the full (correct) fence + waiter check.
-  if (src_world_hint < 0 || src == kAnySource || tag == kAnyTag) {
-    return std::nullopt;
-  }
-  capture_owner_exec();
-  if (!fast_ok_.load(std::memory_order_acquire)) return std::nullopt;
-  // A hinted exact receive is exactly the consumer the rings exist for —
-  // but re-arming costs the next latch episode another 128-message drain
-  // detour, so it is hysteretic: only kRearmHintedPops hinted exact
-  // receives while latched flip the latch off (each missing once on the
-  // slow path).  A stray hinted probe inside hintless traffic stays
-  // latched; a genuine traffic-shape change re-arms after a short run.
-  // The store MUST happen under m_: a slow enqueue that observes the
-  // latch while holding the lock relies on it staying latched for the
-  // whole critical section (that is what makes its plain next_seq_ stamp
-  // exclusive).  Cold path — once per traffic-shape change.
-  if (ring_bypass_.load(std::memory_order_relaxed)) {
-    if (++hinted_since_latch_ < kRearmHintedPops) return std::nullopt;
-    std::lock_guard<std::mutex> lk(m_);
-    drains_since_hit_ = 0;
-    hinted_since_latch_ = 0;
-    rings_quiet_ = false;
-    recompute_attention_locked();
-    ring_bypass_.store(false, std::memory_order_seq_cst);
-  }
-  const auto s = static_cast<std::size_t>(src_world_hint);
-  if (s >= rings_.size()) return std::nullopt;
-  SpscRing* ring = rings_[s].load(std::memory_order_acquire);
-  if (ring == nullptr) return std::nullopt;
-  Message* head = ring->peek();
-  if (head == nullptr || head->context != ctx || head->src != src ||
-      head->tag != tag) {
-    return std::nullopt;
-  }
-  // Gate: the locked core must be empty.  Bin messages with this key are
-  // either drained ring prefixes (older than the ring head — must win) or
-  // ring-full overflow spills from this same sender, which are *older*
-  // than any ring message pushed after them.  The gate is read AFTER the
-  // peek, deliberately: the sender's overflow insert (locked_msgs_
-  // increment, under m_) is sequenced before its next ring push, the push
-  // synchronizes-with our acquire peek, so a head pushed after the spill
-  // guarantees this load sees the nonzero count.  Read before the peek
-  // the gate could miss the spill (TOCTOU) and pop a newer message first.
-  if (locked_msgs_.load(std::memory_order_acquire) != 0) return std::nullopt;
-  Message msg = std::move(*head);
-  ring->pop();
-  // No explicit fence before the Dekker read below: the seq_cst fetch_sub
-  // is itself the barrier (see the header's memory-order contract).
-  ring_msgs_.fetch_sub(1, std::memory_order_seq_cst);
-  obs::bump(fast_hits_);  // single writer: owner thread
-  drains_since_hit_ = 0;
-  note_take(ctx, src, tag, /*wildcard=*/false);
-  if (registry_ != nullptr) registry_->note_progress();
-  // Dekker handshake with capacity-blocked senders (mirror of enqueue's).
-  if (drain_waiters_.load(std::memory_order_seq_cst) > 0) {
-    { std::lock_guard<std::mutex> lk(m_); }
-    drained_.notify_all();
-  }
-  return msg;
-}
-
-Message Mailbox::dequeue_match(int ctx, int src, int tag,
-                               int src_world_hint) {
-  // Gate the fast-pop attempt here (not just inside try_fast_pop): a
-  // hintless or wildcard receive would only pay an out-of-line call that
-  // returns an empty optional<Message> through a hidden pointer — real
-  // cost on the latched slow-path regime this call can never help.
-  if (src_world_hint >= 0 && src != kAnySource && tag != kAnyTag) {
-    if (auto fast = try_fast_pop(ctx, src, tag, src_world_hint)) {
-      return std::move(*fast);
-    }
-    obs::bump(fast_fallbacks_);  // single writer: owner thread
-  }
-  std::unique_lock<std::mutex> lk(m_);
-  drain_rings_locked();
+Mailbox::Bin& Mailbox::await_match_locked(std::unique_lock<std::mutex>& lk,
+                                          fault::WaitKind kind, int ctx,
+                                          int src, int tag) {
   Bin* bin = match_for(ctx, src, tag);
   std::optional<ft::FailureState::Interrupt> ft_it;
   if (bin == nullptr && !poison_) {
@@ -505,12 +229,10 @@ Message Mailbox::dequeue_match(int ctx, int src, int tag,
     // death or exit mark, so "drain, then raise" is deterministic.
     if (fs_ != nullptr) ft_it = fs_->wait_interrupt(ctx, src, owner_);
     if (!ft_it) {
-      fault::ScopedWait wait(
-          registry_, owner_,
-          fault::WaitInfo{fault::WaitKind::kRecv, ctx, src, tag});
-      arrival_waiters_.fetch_add(1, std::memory_order_seq_cst);
+      fault::ScopedWait wait(registry_, owner_,
+                             fault::WaitInfo{kind, ctx, src, tag});
+      ++arrival_waiters_;
       arrived_.wait(lk, [&] {
-        drain_rings_locked();
         bin = match_for(ctx, src, tag);
         if (bin != nullptr || poison_ != nullptr) return true;
         if (fs_ != nullptr) {
@@ -519,33 +241,27 @@ Message Mailbox::dequeue_match(int ctx, int src, int tag,
         }
         return false;
       });
-      arrival_waiters_.fetch_sub(1, std::memory_order_seq_cst);
+      --arrival_waiters_;
     }
   }
   if (poison_) {
-    if (auto* c = counters_.load(std::memory_order_relaxed)) {
-      obs::bump(c->poisoned_waits);
-    }
+    if (counters_ != nullptr) obs::bump(counters_->poisoned_waits);
     throw_poisoned_locked();
   }
   if (bin == nullptr && ft_it) {
     note_ft_interrupt_locked(*ft_it, ctx);
     ft::throw_interrupt(*ft_it, owner_, ctx);
   }
+  // Committed for probes too: a successful probe is a wildcard
+  // observation like any other, and consuming a decision index keeps
+  // record and replay symmetric for probe-then-exact-receive idioms (e.g.
+  // the RMA progress loop).
   commit_wildcard_locked(*bin, ctx, src, tag);
-  return take_locked(*bin, src == kAnySource || tag == kAnyTag);
+  return *bin;
 }
 
-std::optional<Message> Mailbox::try_dequeue_match(int ctx, int src, int tag,
-                                                  int src_world_hint) {
-  // Same hinted-only gate as dequeue_match (see the comment there).
-  if (src_world_hint >= 0 && src != kAnySource && tag != kAnyTag) {
-    if (auto fast = try_fast_pop(ctx, src, tag, src_world_hint)) {
-      return fast;
-    }
-  }
-  std::unique_lock<std::mutex> lk(m_);
-  entry_checks_locked();
+Mailbox::Bin* Mailbox::poll_match_locked(int ctx, int src, int tag) {
+  if (poison_) throw_poisoned_locked();
   Bin* bin = match_for(ctx, src, tag);
   if (bin == nullptr) {
     // Raise (rather than spin forever in a test()/iprobe loop) once the
@@ -556,71 +272,36 @@ std::optional<Message> Mailbox::try_dequeue_match(int ctx, int src, int tag,
         ft::throw_interrupt(*it, owner_, ctx);
       }
     }
-    return std::nullopt;
+    return nullptr;
   }
   commit_wildcard_locked(*bin, ctx, src, tag);
+  return bin;
+}
+
+Message Mailbox::dequeue_match(int ctx, int src, int tag) {
+  std::unique_lock<std::mutex> lk(m_);
+  Bin& bin = await_match_locked(lk, fault::WaitKind::kRecv, ctx, src, tag);
+  return take_locked(bin, src == kAnySource || tag == kAnyTag);
+}
+
+std::optional<Message> Mailbox::try_dequeue_match(int ctx, int src, int tag) {
+  std::lock_guard<std::mutex> lk(m_);
+  Bin* bin = poll_match_locked(ctx, src, tag);
+  if (bin == nullptr) return std::nullopt;
   return take_locked(*bin, src == kAnySource || tag == kAnyTag);
 }
 
 Status Mailbox::probe(int ctx, int src, int tag) {
-  capture_owner_exec();
   std::unique_lock<std::mutex> lk(m_);
-  drain_rings_locked();
-  Bin* bin = match_for(ctx, src, tag);
-  std::optional<ft::FailureState::Interrupt> ft_it;
-  if (bin == nullptr && !poison_) {
-    if (fs_ != nullptr) ft_it = fs_->wait_interrupt(ctx, src, owner_);
-    if (!ft_it) {
-      fault::ScopedWait wait(
-          registry_, owner_,
-          fault::WaitInfo{fault::WaitKind::kProbe, ctx, src, tag});
-      arrival_waiters_.fetch_add(1, std::memory_order_seq_cst);
-      arrived_.wait(lk, [&] {
-        drain_rings_locked();
-        bin = match_for(ctx, src, tag);
-        if (bin != nullptr || poison_ != nullptr) return true;
-        if (fs_ != nullptr) {
-          ft_it = fs_->wait_interrupt(ctx, src, owner_);
-          if (ft_it) return true;
-        }
-        return false;
-      });
-      arrival_waiters_.fetch_sub(1, std::memory_order_seq_cst);
-    }
-  }
-  if (poison_) {
-    if (auto* c = counters_.load(std::memory_order_relaxed)) {
-      obs::bump(c->poisoned_waits);
-    }
-    throw_poisoned_locked();
-  }
-  if (bin == nullptr && ft_it) {
-    note_ft_interrupt_locked(*ft_it, ctx);
-    ft::throw_interrupt(*ft_it, owner_, ctx);
-  }
-  // A successful probe is a wildcard observation like any other: it
-  // consumes a decision index, which keeps record and replay symmetric
-  // for probe-then-exact-receive idioms (e.g. the RMA progress loop).
-  commit_wildcard_locked(*bin, ctx, src, tag);
-  const Message& head = bin->q.front();
+  const Message& head =
+      await_match_locked(lk, fault::WaitKind::kProbe, ctx, src, tag).q.front();
   return Status{.source = head.src, .tag = head.tag, .bytes = head.bytes};
 }
 
 std::optional<Status> Mailbox::try_probe(int ctx, int src, int tag) {
-  capture_owner_exec();
-  std::unique_lock<std::mutex> lk(m_);
-  entry_checks_locked();
-  Bin* bin = match_for(ctx, src, tag);
-  if (bin == nullptr) {
-    if (fs_ != nullptr) {
-      if (const auto it = fs_->wait_interrupt(ctx, src, owner_)) {
-        note_ft_interrupt_locked(*it, ctx);
-        ft::throw_interrupt(*it, owner_, ctx);
-      }
-    }
-    return std::nullopt;
-  }
-  commit_wildcard_locked(*bin, ctx, src, tag);
+  std::lock_guard<std::mutex> lk(m_);
+  const Bin* bin = poll_match_locked(ctx, src, tag);
+  if (bin == nullptr) return std::nullopt;
   const Message& head = bin->q.front();
   return Status{.source = head.src, .tag = head.tag, .bytes = head.bytes};
 }
@@ -628,9 +309,7 @@ std::optional<Status> Mailbox::try_probe(int ctx, int src, int tag) {
 void Mailbox::note_ft_interrupt_locked(const ft::FailureState::Interrupt& it,
                                        int ctx) {
   if (oracle_ == nullptr || !it.tie) return;
-  if (auto* c = counters_.load(std::memory_order_relaxed)) {
-    obs::bump(c->sched_ft_wake_ties);
-  }
+  if (counters_ != nullptr) obs::bump(counters_->sched_ft_wake_ties);
   oracle_->record_ft_tie(owner_, ctx);
 }
 
@@ -639,8 +318,6 @@ void Mailbox::poison(std::shared_ptr<const fault::AbortInfo> info) {
     std::lock_guard<std::mutex> lk(m_);
     if (poison_) return;  // first abort wins
     poison_ = std::move(info);
-    recompute_fast_ok_locked();  // pin the slow path
-    recompute_attention_locked();
   }
   arrived_.notify_all();
   drained_.notify_all();
@@ -648,51 +325,28 @@ void Mailbox::poison(std::shared_ptr<const fault::AbortInfo> info) {
 
 void Mailbox::ft_notify() {
   std::lock_guard<std::mutex> lk(m_);
-  if (arrival_waiters_.load(std::memory_order_relaxed) > 0) {
-    arrived_.notify_all();
-  }
-  if (drain_waiters_.load(std::memory_order_relaxed) > 0) {
-    drained_.notify_all();
-  }
+  if (arrival_waiters_ > 0) arrived_.notify_all();
+  if (drain_waiters_ > 0) drained_.notify_all();
 }
 
 void Mailbox::reset() {
   std::lock_guard<std::mutex> lk(m_);
   poison_.reset();
-  // Destroy every ring-resident message (returning pooled payload buffers
-  // to their pool).  The rings themselves stay allocated — they are keyed
-  // by src world rank, which does not change across runs.
-  for (const int s : active_rings_) {
-    SpscRing* ring =
-        rings_[static_cast<std::size_t>(s)].load(std::memory_order_relaxed);
-    while (Message* head = ring->peek()) {
-      Message dead = std::move(*head);
-      ring->pop();
-    }
-  }
   // Drain every bin (destroying queued messages returns their pooled
   // payload buffers) and drop the bin directory itself: contexts are
   // allocated fresh each run, so stale keys would only pollute the table.
   bins_.clear();
   table_.assign(kInitialSlots, nullptr);
-  mru_ = nullptr;  // points into bins_, which was just cleared
-  has_last_take_ = false;
-  ring_msgs_.store(0, std::memory_order_relaxed);
-  locked_msgs_.store(0, std::memory_order_relaxed);
-  next_seq_.store(0, std::memory_order_relaxed);
-  ring_bypass_.store(false, std::memory_order_seq_cst);
-  drains_since_hit_ = 0;
-  hinted_since_latch_ = 0;
-  rings_quiet_ = false;
-  recompute_fast_ok_locked();  // un-pins poison; fs_/oracle_ persist
-  recompute_attention_locked();
+  mru_ = nullptr;  // both point into bins_, which was just cleared
+  last_take_ = nullptr;
+  queued_ = 0;
+  next_seq_ = 0;
 }
 
-std::vector<Mailbox::Pending> Mailbox::pending_summary() {
+std::vector<Mailbox::Pending> Mailbox::pending_summary() const {
   std::vector<Pending> out;
   {
     std::lock_guard<std::mutex> lk(m_);
-    drain_rings_locked();
     for (const Bin& b : bins_) {
       if (!b.q.empty()) {
         out.push_back(Pending{b.ctx, b.src, b.tag, b.q.size()});

@@ -1,74 +1,32 @@
 // Per-rank mailbox with MPI matching semantics.
 //
 // Senders enqueue into the destination's box; receivers block until a
-// message matching (context, source, tag) exists.
+// message matching (context, source, tag) exists.  Every operation —
+// enqueue, receive, probe, poison, reset — runs under the one mutex `m_`,
+// so there is a single enqueue path and a single dequeue path.
 //
-// Two-path design (fast lock-free front, locked matching core):
-//
-//   FAST PATH.  Every sender owns a bounded SPSC ring in front of this
-//   box (one per src world rank, created lazily).  While the box is in
-//   fast mode — no ULFM failure state attached, no scheduling oracle
-//   armed, not poisoned — a send is a lock-free ring push, and an
-//   exact-pattern receive whose caller supplies the sender's world rank
-//   (`src_world_hint`) pops the matching ring head without ever taking
-//   `m_`, provided the locked core holds no messages at all.  This is
-//   the eager hot path: exact-tag send matched by a posted exact
-//   receive, which every benchmark loop hits millions of times.
-//
-//   SLOW PATH.  Everything else — wildcard receives, probes, hintless
-//   receives, capacity-blocked sends, any receive while the locked core
-//   is nonempty, and all traffic once FT / an oracle / poison pins the
-//   box — takes `m_` exactly as before.  Every locked matching operation
-//   first *drains* all rings into the per-(context, src, tag) bins
-//   (seq-sorted, so per-sender FIFO and global arrival order survive the
-//   move); this drain-on-transition protocol is what lets the two paths
-//   coexist: once an operation needs the global view, the global view is
-//   made complete before any matching decision.
-//
-// Matching structure (locked core): messages are binned into per-
-// (context, src, tag) FIFO queues indexed by an open-addressing flat
-// hash.  Every message is stamped with a global monotone sequence number
-// at enqueue (an atomic counter, shared by both paths); a wildcard
-// receive (kAnySource / kAnyTag / both) scans the bin directory —
-// O(#bins), bounded by distinct (context, src, tag) triples in flight —
+// Matching structure: messages are binned into per-(context, src, tag)
+// FIFO queues indexed by an open-addressing flat hash, with the last bin
+// touched cached as MRU (steady traffic repeats one key).  Every message
+// is stamped with a global monotone sequence number at enqueue; a
+// wildcard receive (kAnySource / kAnyTag / both) scans the bin directory
+// — O(#bins), bounded by distinct (context, src, tag) triples in flight —
 // and takes the candidate bin whose head has the smallest sequence
 // number.  Since bin FIFO order equals per-key arrival order and
 // sequence numbers equal global arrival order, every receive and probe
 // observes exactly the order a single linear queue would produce
 // (property-tested against a reference linear mailbox in
-// tests/test_mailbox_matching.cpp, fast path included).
-//
-// Why the fast pop is safe: within one context, comm rank <-> world rank
-// is bijective, so all messages matching an exact (ctx, src, tag)
-// pattern come from the single ring named by the hint; ring order is
-// that sender's program order; and the `locked core empty` gate plus the
-// fact that only the owner thread ever drains rings means no older
-// matching message can exist anywhere else.  Bin messages with the same
-// key are either drained ring prefixes (gate refuses while they exist)
-// or slow-path enqueues stamped after everything currently in the ring.
+// tests/test_mailbox_matching.cpp).
 //
 // Every blocking path (matched receive, blocking probe, capacity-blocked
 // enqueue) participates in the failure-propagation protocol: poison()
-// wakes all waiters with an AbortedError (whatever bin they wait on) and
-// pins the slow path, reset() drains every ring and bin, and waits are
-// registered in the engine's WaitRegistry so the deadlock watchdog can
-// dump what each rank is stuck on.  Lost wakeups across the lock-free
-// boundary are prevented Dekker-style: producers publish, fence, then
-// read the waiter count; waiters bump the count, fence, then re-scan the
-// rings — at least one side always sees the other.  Two refinements keep
-// the handshake off the single-threaded hot path: a producer running IN
-// the owner's execution context (sched::exec_id — fiber-aware) skips the
-// fence and waiter check outright (the owner cannot be enqueueing and
-// blocked in a receive at once — the self-send case), and the pop side
-// needs no explicit fence because the seq_cst
-// ring_msgs_ decrement after the pop already separates the head-slot
-// release from the waiter-count read, while a capacity waiter's
-// re-check reads ring_msgs_ seq_cst — the single total order over those
-// accesses guarantees one side sees the other.
+// wakes all waiters with an AbortedError (whatever bin they wait on),
+// reset() drains every bin, and waits are registered in the engine's
+// WaitRegistry so the deadlock watchdog can dump what each rank is stuck
+// on.  Waiter counts (guarded by m_) let enqueue and take skip the
+// notify when nobody is blocked — the overwhelmingly common case.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -93,41 +51,44 @@ namespace ombx::mpi {
 
 class Mailbox {
  public:
-  /// Upper bound on queued messages (rings + bins); enqueue blocks beyond
-  /// it (models MPI eager flow control and bounds host memory at scale).
-  /// `registry` (may be null) receives blocked-wait registrations for
-  /// `owner_rank`'s receives and for senders stuck on capacity.
-  /// `max_src_world` bounds the sender world ranks eligible for a fast
-  /// ring (sends from larger ranks are correct but always locked).
+  /// Upper bound on queued messages; enqueue blocks beyond it (models MPI
+  /// eager flow control and bounds host memory at scale).  `registry`
+  /// (may be null) receives blocked-wait registrations for `owner_rank`'s
+  /// receives and for senders stuck on capacity.
   explicit Mailbox(std::size_t capacity = 8192,
                    fault::WaitRegistry* registry = nullptr,
-                   int owner_rank = -1, int max_src_world = 64)
-      : rings_(max_src_world > 0 ? static_cast<std::size_t>(max_src_world)
-                                 : 0),
-        capacity_(capacity), registry_(registry), owner_(owner_rank) {
+                   int owner_rank = -1)
+      : capacity_(capacity), registry_(registry), owner_(owner_rank) {
     table_.resize(kInitialSlots);
   }
+  /// Accepts (and ignores) a sender-count argument so that callers written
+  /// against the four-argument form keep compiling.
+  Mailbox(std::size_t capacity, fault::WaitRegistry* registry, int owner_rank,
+          int /*max_src_world*/)
+      : Mailbox(capacity, registry, owner_rank) {}
 
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
   /// Deposit a message; blocks while the box is at capacity.  Throws
   /// AbortedError when the box is (or becomes) poisoned, so capacity-
-  /// blocked senders wake instead of hanging on a dead receiver.  In fast
-  /// mode this is a lock-free ring push (msg.src_world names the ring).
+  /// blocked senders wake instead of hanging on a dead receiver.
   void enqueue(Message&& msg);
 
   /// Remove and return the first message matching (ctx, src, tag); blocks
   /// until one arrives.  Throws AbortedError once poisoned.
-  /// `src_world_hint` (optional) is the world rank behind comm rank `src`
-  /// — it enables the lock-free pop for exact patterns; -1 always works.
+  [[nodiscard]] Message dequeue_match(int ctx, int src, int tag);
+  /// Accepts (and ignores) the sender's world rank so that callers written
+  /// against the four-argument form keep compiling.
   [[nodiscard]] Message dequeue_match(int ctx, int src, int tag,
-                                      int src_world_hint = -1);
+                                      int /*src_world_hint*/) {
+    return dequeue_match(ctx, src, tag);
+  }
 
   /// Like dequeue_match but does not block: returns nullopt if no match is
   /// currently queued.
-  [[nodiscard]] std::optional<Message> try_dequeue_match(
-      int ctx, int src, int tag, int src_world_hint = -1);
+  [[nodiscard]] std::optional<Message> try_dequeue_match(int ctx, int src,
+                                                         int tag);
 
   /// Blocking probe: waits for a match and returns its envelope without
   /// removing it (MPI_Probe).  Throws AbortedError once poisoned.
@@ -138,42 +99,37 @@ class Mailbox {
 
   /// Abort propagation: wake every waiter (senders and receivers); all
   /// current and future blocking calls throw AbortedError carrying `info`.
-  /// Also pins the slow path so no new message bypasses the poison check.
   void poison(std::shared_ptr<const fault::AbortInfo> info);
 
   /// Re-arm the mailbox for a fresh run (clears poison and drains every
-  /// ring and bin, returning pooled payload buffers to their pool).  Only
-  /// valid while no rank thread is using the box.
+  /// bin, returning pooled payload buffers to their pool).  Only valid
+  /// while no rank thread is using the box.
   void reset();
 
-  [[nodiscard]] std::size_t size() const noexcept {
-    return ring_msgs_.load(std::memory_order_relaxed) +
-           locked_msgs_.load(std::memory_order_relaxed);
+  [[nodiscard]] std::size_t size() const {
+    std::lock_guard<std::mutex> lk(m_);
+    return queued_;
   }
 
   /// One entry per nonempty bin: the (context, src, tag) key and how many
   /// messages are still queued under it.  Sorted by (ctx, src, tag) so the
-  /// finalize audit's unmatched-send report is deterministic.  Drains the
-  /// rings first (call only from the owner thread or once quiescent).
+  /// finalize audit's unmatched-send report is deterministic.
   struct Pending {
     int ctx;
     int src;
     int tag;
     std::size_t count;
   };
-  [[nodiscard]] std::vector<Pending> pending_summary();
+  [[nodiscard]] std::vector<Pending> pending_summary() const;
 
   /// Attach the world's ULFM failure state (null when FT is disabled —
   /// the default, in which case no wait ever consults it).  Blocked waits
   /// then wake when the peer they depend on is dead- or exit-marked and
   /// no matching message is queued; a queued match always wins, which is
   /// deterministic because a rank's sends happen-before its own marks.
-  /// A non-null failure state pins the slow path (FT wake rules must see
-  /// every message under m_).
   void set_failure_state(const ft::FailureState* fs) noexcept {
     std::lock_guard<std::mutex> lk(m_);
     fs_ = fs;
-    recompute_fast_ok_locked();
   }
 
   /// Wake every waiter so it re-evaluates the failure state (called after
@@ -182,102 +138,24 @@ class Mailbox {
 
   /// Attach the owner rank's metrics block (null to detach).  Successful
   /// dequeues are classified as exact / MRU / wildcard in receiver
-  /// program order on both paths, so the counts are deterministic (see
+  /// program order, so the counts are deterministic (see
   /// obs/metrics.hpp).
   void set_counters(obs::RankCounters* counters) noexcept {
-    counters_.store(counters, std::memory_order_release);
+    std::lock_guard<std::mutex> lk(m_);
+    counters_ = counters;
   }
 
   /// Attach a scheduling oracle (null to detach — the default; every
   /// match path then reduces to plain find_match).  With an oracle, each
   /// wildcard match records its candidate set, honours a pending pin
   /// (waiting for the pinned bin instead of taking the min-seq head), and
-  /// consults fuzz picks (see explore/explore.hpp).  A non-null oracle
-  /// pins the slow path so every decision is recorded under m_.
+  /// consults fuzz picks (see explore/explore.hpp).
   void set_oracle(explore::ScheduleOracle* oracle) noexcept {
     std::lock_guard<std::mutex> lk(m_);
     oracle_ = oracle;
-    recompute_fast_ok_locked();
-  }
-
-  /// Fast-/slow-path split diagnostics snapshot.  These counts depend on
-  /// host timing — whether a receiver beats its sender to the rendezvous
-  /// decides hit vs fallback — so they are deliberately NOT part of
-  /// obs::RankCounters: the metrics CSV must stay byte-identical across
-  /// same-seed runs (CI-enforced), exactly like PayloadPool::Stats.
-  /// Internally each counter has a single writer (the ring's producer, the
-  /// owner thread, or m_), so increments are plain load+store — an order
-  /// of magnitude cheaper than a lock-prefixed RMW on the hot path.
-  struct FastStats {
-    std::uint64_t fast_enqueues = 0;   ///< lock-free ring pushes
-    std::uint64_t slow_enqueues = 0;   ///< locked enqueues
-    std::uint64_t fast_hits = 0;       ///< lock-free pops
-    std::uint64_t fast_fallbacks = 0;  ///< hinted recvs gone slow
-    std::uint64_t drained = 0;         ///< msgs moved ring->bins
-    std::uint64_t ring_depth_hwm = 0;  ///< max ring-resident msgs
-  };
-  [[nodiscard]] FastStats fast_stats() const noexcept {
-    FastStats out;
-    for (const auto& rp : rings_) {  // fixed-size array of atomic pointers
-      if (const SpscRing* r = rp.load(std::memory_order_acquire)) {
-        out.fast_enqueues += r->pushed.load(std::memory_order_relaxed);
-      }
-    }
-    out.slow_enqueues = slow_enqueues_.load(std::memory_order_relaxed);
-    out.fast_hits = fast_hits_.load(std::memory_order_relaxed);
-    out.fast_fallbacks = fast_fallbacks_.load(std::memory_order_relaxed);
-    out.drained = drained_count_.load(std::memory_order_relaxed);
-    out.ring_depth_hwm = ring_depth_hwm_.load(std::memory_order_relaxed);
-    return out;
   }
 
  private:
-  /// Bounded single-producer single-consumer ring: the sender with world
-  /// rank s is the sole pusher of ring s; the box's owner thread is the
-  /// sole popper (lock-free pops and under-m_ drains are both owner-side,
-  /// so they never race each other).
-  struct SpscRing {
-    static constexpr std::size_t kSlots = 64;  // power of two
-
-    std::array<Message, kSlots> slot;
-    alignas(64) std::atomic<std::uint64_t> tail{0};  ///< producer-advanced
-    std::uint64_t head_cache = 0;                    ///< producer-local
-    /// Lifetime push count (producer-owned single-writer: plain
-    /// load+store, no RMW).  Feeds FastStats::fast_enqueues.
-    std::atomic<std::uint64_t> pushed{0};
-    alignas(64) std::atomic<std::uint64_t> head{0};  ///< consumer-advanced
-    std::uint64_t tail_cache = 0;                    ///< consumer-local
-
-    /// Producer side.  Returns false (msg untouched) when full.
-    [[nodiscard]] bool try_push(Message&& msg) noexcept {
-      const std::uint64_t t = tail.load(std::memory_order_relaxed);
-      if (t - head_cache >= kSlots) {
-        head_cache = head.load(std::memory_order_acquire);
-        if (t - head_cache >= kSlots) return false;
-      }
-      slot[t & (kSlots - 1)] = std::move(msg);
-      tail.store(t + 1, std::memory_order_release);
-      return true;
-    }
-
-    /// Consumer side: the current head slot, or null when empty.
-    [[nodiscard]] Message* peek() noexcept {
-      const std::uint64_t h = head.load(std::memory_order_relaxed);
-      if (h == tail_cache) {
-        tail_cache = tail.load(std::memory_order_acquire);
-        if (h == tail_cache) return nullptr;
-      }
-      return &slot[h & (kSlots - 1)];
-    }
-
-    /// Consumer side: free the head slot (after moving out of peek()).
-    void pop() noexcept {
-      const std::uint64_t h = head.load(std::memory_order_relaxed);
-      head.store(h + 1, std::memory_order_release);
-    }
-
-  };
-
   /// One FIFO of messages sharing an exact (context, src, tag) key.  Bins
   /// are never deleted before reset(); an emptied bin stays registered so
   /// its next message skips the insert path.
@@ -318,14 +196,23 @@ class Mailbox {
   /// it is safe inside wait predicates that evaluate many times.
   [[nodiscard]] Bin* match_for(int ctx, int src, int tag);
 
-  /// Record the decision a successful wildcard match just committed
-  /// (candidate set + chosen bin); consumes the rank's decision index and
-  /// any pin that forced it.  Must run under the same m_ hold as the
-  /// match_for() that selected `bin`.  No-op without an oracle or for
-  /// exact patterns.
+  /// Block (registered with the watchdog as `kind`) until match_for finds
+  /// a bin, the box is poisoned, or the failure state interrupts the
+  /// wait; then throw for poison / interrupt or return the matched bin.
+  /// Shared by dequeue_match and probe.
+  [[nodiscard]] Bin& await_match_locked(std::unique_lock<std::mutex>& lk,
+                                        fault::WaitKind kind, int ctx,
+                                        int src, int tag);
+
+  /// Non-blocking counterpart of await_match_locked: the matched bin, or
+  /// null when nothing matches (throwing once the failure state makes the
+  /// miss permanent).  Shared by try_dequeue_match and try_probe.
+  [[nodiscard]] Bin* poll_match_locked(int ctx, int src, int tag);
+
   /// Record a wildcard decision with the oracle.  The no-oracle /
   /// exact-pattern early-out is inline so plain receives skip the call
-  /// (and its argument setup) entirely.
+  /// (and its argument setup) entirely.  Must run under the same m_ hold
+  /// as the match_for() that selected `bin`.
   void commit_wildcard_locked(const Bin& bin, int ctx, int src, int tag) {
     if (oracle_ == nullptr || (src != kAnySource && tag != kAnyTag)) return;
     commit_wildcard_slow_locked(bin, ctx, src, tag);
@@ -338,75 +225,10 @@ class Mailbox {
 
   /// Pop the head of `bin`, maintaining counts and waking capacity-blocked
   /// senders.  `wildcard` says whether the pattern that selected the bin
-  /// carried a wildcard (metrics classification).
+  /// carried a wildcard (metrics classification: an MRU hit is an exact
+  /// take from the same bin as the previous take — receiver program
+  /// order, so deterministic).
   [[nodiscard]] Message take_locked(Bin& bin, bool wildcard);
-
-  /// The lock-free exact pop.  nullopt means "take the slow path" (gate
-  /// closed, ring empty, or head doesn't match) — never an error.
-  [[nodiscard]] std::optional<Message> try_fast_pop(int ctx, int src, int tag,
-                                                    int src_world_hint);
-
-  /// Record the calling (receive-side) execution context in owner_exec_
-  /// so self-send enqueues can skip the Dekker fence.  Called at every
-  /// receive entry.  Keyed on sched::exec_id(), not std::thread::id:
-  /// under the fiber scheduler two ranks can share one OS thread, and a
-  /// thread id would falsely prove "the producer IS the consumer".
-  void capture_owner_exec() noexcept;
-
-  /// Move every ring-resident message into its bin (seq-sorted insert).
-  /// Owner thread or quiescent only, with m_ held: this is the
-  /// fast->slow transition, after which the locked core is complete.
-  /// The gate is inline so steady-state locked receives on a quiet
-  /// mailbox (bypass latched and rings drained, or no fast producer
-  /// ever) pay two predictable tests instead of an out-of-line call.
-  void drain_rings_locked() {
-    if (rings_quiet_ || active_rings_.empty()) return;
-    drain_rings_slow_locked();
-  }
-  void drain_rings_slow_locked();
-
-  /// Entry checks shared by every non-blocking locked matching operation:
-  /// poison propagation and the ring drain, folded behind one m_-guarded
-  /// byte so the steady state (not poisoned, rings quiet or never
-  /// created) pays a single predicted branch — the pre-ring slow path
-  /// paid one load+branch for the poison check alone, so hintless
-  /// consumers are back at (or under) their old instruction count.
-  void entry_checks_locked() {
-    if (!locked_attention_) return;
-    if (poison_) throw_poisoned_locked();
-    drain_rings_locked();
-  }
-
-  /// Recompute locked_attention_ from its inputs (m_ held).  Call after
-  /// any change to poison_, active_rings_ or rings_quiet_.
-  void recompute_attention_locked() noexcept {
-    locked_attention_ =
-        poison_ != nullptr || (!active_rings_.empty() && !rings_quiet_);
-  }
-
-  /// Insert preserving ascending seq order (O(1) for in-order arrivals).
-  static void insert_sorted(Bin& bin, Message&& msg);
-
-  /// Ring for sender `s`, created (and registered for draining) on first
-  /// use.  Lock-free after creation.
-  [[nodiscard]] SpscRing* obtain_ring(std::size_t s);
-
-  /// Metrics classification + MRU bookkeeping shared by both paths: an
-  /// MRU hit is a non-wildcard take whose key equals the previous
-  /// successful take's key — receiver program order, so deterministic and
-  /// identical whichever path served it.
-  void note_take(int ctx, int src, int tag, bool wildcard) noexcept;
-
-  /// Recompute the fast-path gate from fs_/oracle_/poison_ (m_ held).
-  void recompute_fast_ok_locked() noexcept {
-    fast_ok_.store(fs_ == nullptr && oracle_ == nullptr && !poison_,
-                   std::memory_order_release);
-  }
-
-  [[nodiscard]] std::size_t total_queued_seq_cst() const noexcept {
-    return ring_msgs_.load(std::memory_order_seq_cst) +
-           locked_msgs_.load(std::memory_order_seq_cst);
-  }
 
   [[noreturn]] void throw_poisoned_locked();
 
@@ -421,87 +243,15 @@ class Mailbox {
   sched::WaitQueue drained_;  ///< signalled on dequeue / poison
   std::deque<Bin> bins_;             ///< stable storage + wildcard scan order
   std::vector<Bin*> table_;          ///< open-addressing index, pow2 slots
-  mutable Bin* mru_ = nullptr;       ///< last bin touched (steady traffic)
-
-  // ---- Lock-free front ----------------------------------------------------
-  std::vector<std::atomic<SpscRing*>> rings_;  ///< per src world, lazy
-  std::vector<std::unique_ptr<SpscRing>> ring_store_;  ///< guarded by m_
-  std::vector<int> active_rings_;                      ///< guarded by m_
-  std::atomic<bool> fast_ok_{true};  ///< no FT, no oracle, not poisoned
-  /// Adaptive bypass: when the owner keeps draining ring messages into
-  /// bins without a single fast pop (a hintless or wildcard-heavy
-  /// consumer), routing sends through the rings only adds a move per
-  /// message — so after kRingBypassAfterDrains consecutive drained
-  /// messages the owner flips this and producers enqueue straight into
-  /// the locked core.  Re-arming is hysteretic: a latched box only
-  /// returns to ring mode after kRearmHintedPops consecutive hinted
-  /// exact receives (each missing once on the slow path), so a stray
-  /// hinted probe inside otherwise hintless traffic cannot flap the
-  /// latch and re-trigger the 128-message drain detour.
-  /// Which path a send takes is a pure heuristic (both are correct), but
-  /// the latch doubles as a mutual-exclusion witness: writes happen only
-  /// under m_, producers re-check it (seq_cst) after reserving ring_msgs_
-  /// and back out if set — so a slow enqueue that holds m_, sees the
-  /// latch set and sees ring_msgs_ == 0 owns next_seq_ outright and can
-  /// stamp with a plain load+store instead of an RMW.
-  static constexpr std::uint64_t kRingBypassAfterDrains = 128;
-  static constexpr std::uint64_t kRearmHintedPops = 4;
-  std::atomic<bool> ring_bypass_{false};   ///< written under m_ only
-  std::uint64_t drains_since_hit_ = 0;     ///< owner side (under m_)
-  std::uint64_t hinted_since_latch_ = 0;   ///< owner side (re-arm hysteresis)
-  /// Latched-and-drained witness (m_ only): true once a drain pass ran
-  /// with the bypass latched and left ring_msgs_ == 0.  From that point no
-  /// producer can land a ring message (each re-checks the latch after its
-  /// reservation and backs out), so every locked operation skips the ring
-  /// machinery outright — no gate load, no fence, no stamp double-check —
-  /// restoring the pre-ring slow-path instruction count for hintless
-  /// consumers.  Cleared by the hysteretic re-arm and by reset().
-  bool rings_quiet_ = false;
-  /// Folded entry-check gate (m_ only): poisoned, or rings exist and are
-  /// not known quiet.  See entry_checks_locked().
-  bool locked_attention_ = false;
-  /// Messages inside rings.  Producers fetch_add (reserve) BEFORE the ring
-  /// push and give the reservation back on a full ring; the owner's
-  /// fetch_sub after a fast pop doubles as the full barrier of the
-  /// pop-side Dekker handshake (see try_fast_pop).  Always a seq_cst RMW.
-  std::atomic<std::uint64_t> ring_msgs_{0};
-  /// Messages inside bins.  Written only under m_ (single writer at a
-  /// time), so increments are plain load+store; the lock-free reader in
-  /// try_fast_pop is made safe by re-checking AFTER the ring peek — the
-  /// producer's push/peek release-acquire edge carries any same-sender
-  /// slow enqueue's increment across with it.
-  std::atomic<std::uint64_t> locked_msgs_{0};
-  std::atomic<std::uint64_t> next_seq_{0};  ///< global arrival stamp
-  /// The owner execution context — fiber or thread, via sched::exec_id()
-  /// — captured on every receive-side call: an enqueue running IN that
-  /// context proves the owner is not blocked in a wait, so the
-  /// producer-side Dekker fence + waiter check can be skipped — this is
-  /// the self-send hot case.
-  std::atomic<std::uintptr_t> owner_exec_{0};
-  // Fast-stats counters (see FastStats): single-writer, plain load+store.
-  std::atomic<std::uint64_t> slow_enqueues_{0};    ///< under m_
-  std::atomic<std::uint64_t> fast_hits_{0};        ///< owner thread
-  std::atomic<std::uint64_t> fast_fallbacks_{0};   ///< owner thread
-  std::atomic<std::uint64_t> drained_count_{0};    ///< under m_
-  std::atomic<std::uint64_t> ring_depth_hwm_{0};   ///< CAS-max (multi-writer)
-
-  // Waiter counts (modified under m_, read lock-free by producers with
-  // seq_cst so the Dekker handshake in enqueue/try_fast_pop cannot lose a
-  // wakeup) let the hot path skip the kernel notify when nobody is
-  // blocked — the overwhelmingly common case.
-  std::atomic<int> arrival_waiters_{0};  ///< blocked receives + probes
-  std::atomic<int> drain_waiters_{0};    ///< capacity-blocked senders
+  mutable Bin* mru_ = nullptr;       ///< last bin looked up (steady traffic)
+  const Bin* last_take_ = nullptr;   ///< bin of the previous successful take
+  std::size_t queued_ = 0;           ///< messages across all bins
+  std::uint64_t next_seq_ = 0;       ///< global arrival stamp
+  int arrival_waiters_ = 0;          ///< blocked receives + probes
+  int drain_waiters_ = 0;            ///< capacity-blocked senders
 
   std::size_t capacity_;
-  std::atomic<obs::RankCounters*> counters_{nullptr};  ///< owner's metrics
-  // Key of the previous successful take (owner thread only; reset() may
-  // also touch it while quiescent).  Replaces the old Bin* comparison —
-  // bins and keys are bijective within a run, so classification is
-  // unchanged, but a key survives path switches where a pointer cannot.
-  bool has_last_take_ = false;
-  int last_take_ctx_ = 0;
-  int last_take_src_ = 0;
-  int last_take_tag_ = 0;
+  obs::RankCounters* counters_ = nullptr;  ///< owner's metrics
 
   std::shared_ptr<const fault::AbortInfo> poison_;
   fault::WaitRegistry* registry_;

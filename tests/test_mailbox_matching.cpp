@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <random>
 #include <thread>
@@ -26,6 +27,7 @@
 #include "mpi/mailbox.hpp"
 #include "mpi/message.hpp"
 #include "mpi/payload_pool.hpp"
+#include "mpi/request.hpp"
 #include "mpi/world.hpp"
 
 using namespace ombx;
@@ -340,15 +342,15 @@ TEST(MailboxOracle, IncompatiblePinFallsBackAndFlagsDivergence) {
   EXPECT_TRUE(oracle.diverged());
 }
 
-// ---- Fast-path (SPSC rings) properties --------------------------------------
+// ---- Property test with hooks attached mid-stream ---------------------------
 
-TEST(MailboxFastPath, HintedMatchesReferenceAcrossPathTransitions) {
-  // The two-path mailbox against the linear reference, now with the fast
-  // path actually engaged: exact receives carry src_world hints, bursts
-  // overflow the 64-slot rings (forcing the spill-then-restamp path), and
-  // mid-stream an oracle or a (failure-free) ULFM state attaches and
-  // detaches — pinning the slow path and draining the rings — while the
-  // stream keeps flowing.  Every observation must equal the reference.
+TEST(MailboxMatching, MatchesReferenceWithHooksAttachedMidStream) {
+  // The mailbox against the linear reference while the hooks that change
+  // how a match is made come and go mid-stream: a recording oracle (every
+  // wildcard decision logged, no pins), a failure-free ULFM state (every
+  // miss consults it), and poison (every operation must throw until
+  // reset() re-arms the box, which also empties it).  Bursts deepen single
+  // bins between receives.  Every observation must equal the reference.
   constexpr int kSources = 4;
   constexpr int kTags = 3;
   constexpr int kOpsPerSeed = 8000;
@@ -362,12 +364,12 @@ TEST(MailboxFastPath, HintedMatchesReferenceAcrossPathTransitions) {
     std::size_t next_id = 1;
     bool oracle_on = false;
     bool ft_on = false;
+    int poisonings = 0;
 
     for (int op = 0; op < kOpsPerSeed; ++op) {
       const unsigned kind = rng() % 16;
       if (kind == 15) {
-        // Path transition while messages are in flight.
-        switch (rng() % 4) {
+        switch (rng() % 5) {
           case 0:
             box.set_oracle(oracle_on ? nullptr : &oracle);
             oracle_on = !oracle_on;
@@ -376,9 +378,23 @@ TEST(MailboxFastPath, HintedMatchesReferenceAcrossPathTransitions) {
             box.set_failure_state(ft_on ? nullptr : &fs);
             ft_on = !ft_on;
             break;
+          case 2: {
+            box.poison(std::make_shared<const fault::AbortInfo>(
+                fault::AbortInfo{.origin_rank = 2, .reason = "mid-stream"}));
+            EXPECT_THROW((void)box.try_dequeue_match(0, kAnySource, kAnyTag),
+                         mpi::AbortedError);
+            EXPECT_THROW((void)box.try_dequeue_match(0, 1, 1),
+                         mpi::AbortedError);
+            EXPECT_THROW((void)box.try_probe(0, kAnySource, 1),
+                         mpi::AbortedError);
+            EXPECT_THROW(box.enqueue(make_msg(0, 1, 1, 0)), mpi::AbortedError);
+            box.reset();
+            ref = ReferenceMailbox{};
+            ++poisonings;
+            break;
+          }
           default: {
-            // Ring-overflow burst: >64 messages from one source with no
-            // receive in between spill into the locked core mid-stream.
+            // Burst: many messages on one key with no receive in between.
             const int src = static_cast<int>(rng() % kSources);
             const int tag = static_cast<int>(rng() % kTags);
             for (int i = 0; i < 80; ++i) {
@@ -395,31 +411,20 @@ TEST(MailboxFastPath, HintedMatchesReferenceAcrossPathTransitions) {
         box.enqueue(make_msg(0, src, tag, next_id));
         ref.enqueue(make_msg(0, src, tag, next_id));
         ++next_id;
-      } else if (kind < 13) {
-        // Exact receive WITH hint (make_msg sets src_world = src): this is
-        // the lock-free pop whenever the box is unpinned and drained.
-        const int src = static_cast<int>(rng() % kSources);
-        const int tag = static_cast<int>(rng() % kTags);
-        std::optional<Message> got =
-            box.try_dequeue_match(0, src, tag, /*src_world_hint=*/src);
-        std::optional<Message> want = ref.try_dequeue_match(0, src, tag);
-        ASSERT_EQ(got.has_value(), want.has_value())
-            << "seed=" << seed << " op=" << op;
-        if (got) {
-          EXPECT_EQ(got->bytes, want->bytes)
-              << "seed=" << seed << " op=" << op
-              << ": fast path broke arrival order";
-        }
-      } else if (kind < 15) {
-        const bool wild_tag = rng() % 2 == 0;
-        const int src = kAnySource;
-        const int tag = wild_tag ? kAnyTag : static_cast<int>(rng() % kTags);
+      } else if (kind < 14) {
+        // Exact, any-source, any-tag and full-wildcard receives.
+        const int src =
+            rng() % 3 == 0 ? kAnySource : static_cast<int>(rng() % kSources);
+        const int tag =
+            rng() % 3 == 0 ? kAnyTag : static_cast<int>(rng() % kTags);
         std::optional<Message> got = box.try_dequeue_match(0, src, tag);
         std::optional<Message> want = ref.try_dequeue_match(0, src, tag);
         ASSERT_EQ(got.has_value(), want.has_value())
             << "seed=" << seed << " op=" << op;
         if (got) {
-          EXPECT_EQ(got->bytes, want->bytes) << "op=" << op;
+          EXPECT_EQ(got->bytes, want->bytes)
+              << "seed=" << seed << " op=" << op << ": recv(" << src << ","
+              << tag << ") broke arrival order";
         }
       } else {
         const int tag = static_cast<int>(rng() % kTags);
@@ -433,7 +438,7 @@ TEST(MailboxFastPath, HintedMatchesReferenceAcrossPathTransitions) {
       ASSERT_EQ(box.size(), ref.size()) << "seed=" << seed << " op=" << op;
     }
 
-    // Drain and compare the remainder, then confirm both paths really ran.
+    // Drain and compare the remainder with the hooks detached.
     box.set_oracle(nullptr);
     box.set_failure_state(nullptr);
     while (auto got = box.try_dequeue_match(0, kAnySource, kAnyTag)) {
@@ -442,180 +447,15 @@ TEST(MailboxFastPath, HintedMatchesReferenceAcrossPathTransitions) {
       EXPECT_EQ(got->bytes, want->bytes);
     }
     EXPECT_EQ(ref.try_dequeue_match(0, kAnySource, kAnyTag), std::nullopt);
-    const Mailbox::FastStats s = box.fast_stats();
-    EXPECT_GT(s.fast_enqueues, 0u) << "fast path never engaged";
-    EXPECT_GT(s.slow_enqueues, 0u) << "slow path never engaged";
-    EXPECT_GT(s.drained, 0u) << "no fast->slow transition was exercised";
-    EXPECT_EQ(s.fast_enqueues, s.fast_hits + s.drained)
-        << "a ring message was neither popped nor drained";
+    EXPECT_GT(poisonings, 0) << "seed=" << seed << " never poisoned the box";
+    EXPECT_GT(oracle.decision_count(0), 0u)
+        << "seed=" << seed << " recorded no wildcard decision";
   }
 }
 
-TEST(MailboxFastPath, AdaptiveBypassLatchesOnHintlessTrafficAndRearms) {
-  // A consumer that never passes hints turns the rings into pure
-  // overhead; after enough drained messages the producers must route
-  // straight to the locked core, and the first hinted receive must
-  // re-arm the rings.
-  Mailbox box(1 << 20, nullptr, /*owner_rank=*/0);
-  for (int i = 0; i < 400; ++i) {
-    box.enqueue(make_msg(0, 1, 7, static_cast<std::size_t>(i) + 1));
-    auto got = box.try_dequeue_match(0, 1, 7);  // hintless: always drains
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->bytes, static_cast<std::size_t>(i) + 1);
-  }
-  const Mailbox::FastStats latched = box.fast_stats();
-  EXPECT_GT(latched.slow_enqueues, 0u)
-      << "hintless traffic never latched the ring bypass";
-  EXPECT_EQ(latched.fast_hits, 0u);
-
-  // Re-arming is hysteretic: a short run of hinted receives (fewer than
-  // kRearmHintedPops) must NOT flip the latch — a stray hinted probe
-  // inside hintless traffic would otherwise re-trigger the drain detour.
-  for (std::size_t i = 1; i <= 3; ++i) {
-    box.enqueue(make_msg(0, 1, 7, 1000 + i));
-    auto got = box.try_dequeue_match(0, 1, 7, /*src_world_hint=*/1);
-    ASSERT_TRUE(got.has_value());  // slow-path message, latch still set
-    EXPECT_EQ(got->bytes, 1000 + i);
-  }
-  const Mailbox::FastStats still = box.fast_stats();
-  EXPECT_EQ(still.fast_enqueues, latched.fast_enqueues)
-      << "a sub-threshold hinted run must not re-arm the rings";
-
-  // The threshold-crossing hinted receive re-arms: the next send rides
-  // the ring and the next hinted receive pops it lock-free.
-  box.enqueue(make_msg(0, 1, 7, 1004));
-  auto rearming = box.try_dequeue_match(0, 1, 7, /*src_world_hint=*/1);
-  ASSERT_TRUE(rearming.has_value());  // still served by the slow path
-  EXPECT_EQ(rearming->bytes, 1004u);
-  box.enqueue(make_msg(0, 1, 7, 1005));
-  auto fast = box.try_dequeue_match(0, 1, 7, /*src_world_hint=*/1);
-  ASSERT_TRUE(fast.has_value());
-  EXPECT_EQ(fast->bytes, 1005u);
-  const Mailbox::FastStats rearmed = box.fast_stats();
-  EXPECT_GT(rearmed.fast_enqueues, latched.fast_enqueues)
-      << "hinted receives past the hysteresis did not re-arm the rings";
-  EXPECT_GT(rearmed.fast_hits, 0u);
-}
-
-TEST(MailboxFastPath, LatchedBypassKeepsArrivalOrderParity) {
-  // Once the bypass latches (hintless consumer), every enqueue lands in
-  // the locked core and every receive must observe exactly the order the
-  // reference (single linear queue) would produce — the latch is a
-  // routing heuristic, never a semantics change.
-  Mailbox box(1 << 20, nullptr, /*owner_rank=*/0);
-  ReferenceMailbox ref;
-  std::mt19937 rng(0xB417);
-  // Drive the latch with hintless traffic.
-  for (std::size_t i = 0; i < 300; ++i) {
-    box.enqueue(make_msg(0, 1, 7, i + 1));
-    auto got = box.try_dequeue_match(0, 1, 7);
-    ASSERT_TRUE(got.has_value());
-  }
-  ASSERT_GT(box.fast_stats().slow_enqueues, 0u)
-      << "hintless traffic never latched the bypass";
-
-  // Interleaved arrivals from several sources, then a random mix of
-  // wildcard and exact hintless receives checked against the reference.
-  std::size_t id = 10'000;
-  for (int round = 0; round < 50; ++round) {
-    for (int k = 0; k < 4; ++k) {
-      const int src = static_cast<int>(rng() % 3);
-      const int tag = 1 + static_cast<int>(rng() % 2);
-      ++id;
-      box.enqueue(make_msg(0, src, tag, id));
-      ref.enqueue(make_msg(0, src, tag, id));
-    }
-    for (int k = 0; k < 4; ++k) {
-      const int src =
-          (rng() % 2 == 0) ? kAnySource : static_cast<int>(rng() % 3);
-      const int tag = (rng() % 2 == 0) ? kAnyTag : 1 + static_cast<int>(rng() % 2);
-      auto got = box.try_dequeue_match(0, src, tag);
-      auto want = ref.try_dequeue_match(0, src, tag);
-      ASSERT_EQ(got.has_value(), want.has_value());
-      if (got) {
-        EXPECT_EQ(got->bytes, want->bytes)
-            << "latched box diverged from reference order";
-      }
-    }
-  }
-  EXPECT_EQ(box.size(), ref.size());
-}
-
-TEST(MailboxFastPath, CrossThreadSpscStreamsStayInPerSenderOrder) {
-  // Two producer threads (distinct src worlds, so distinct rings) blast
-  // messages at one blocking consumer.  Per-sender FIFO must survive ring
-  // overflows, drains, and the Dekker sleep/wake handshake.
-  // Capacity must exceed the total message count: with a bounded box a
-  // fast producer can fill it entirely and deadlock against a consumer
-  // waiting for the *other* (capacity-blocked) producer.  Single-sender
-  // capacity blocking is covered by the dedicated test below.  A
-  // per-producer credit window keeps each sender at most 32 ahead of
-  // the consumer — without it a single-CPU host lets the producers
-  // finish first and the whole run degenerates to slow-path pops.
-  constexpr std::size_t kPerSender = 30000;
-  constexpr std::size_t kWindow = 32;
-  Mailbox box(/*capacity=*/1 << 20, nullptr, /*owner_rank=*/0);
-  std::atomic<std::size_t> consumed[2] = {{0}, {0}};
-
-  auto producer = [&box, &consumed](int src) {
-    for (std::size_t i = 1; i <= kPerSender; ++i) {
-      while (i - consumed[src].load(std::memory_order_acquire) > kWindow) {
-        std::this_thread::yield();
-      }
-      box.enqueue(make_msg(0, src, /*tag=*/5, i));
-    }
-  };
-  std::thread p0(producer, 0);
-  std::thread p1(producer, 1);
-
-  std::size_t expect0 = 1;
-  std::size_t expect1 = 1;
-  std::mt19937 rng(99);
-  while (expect0 <= kPerSender || expect1 <= kPerSender) {
-    // Randomly interleave the two streams (blocking receives), with an
-    // occasional hintless receive to force a mid-stream drain.
-    const bool pick0 =
-        expect1 > kPerSender || (expect0 <= kPerSender && rng() % 2 == 0);
-    const int src = pick0 ? 0 : 1;
-    Message got;
-    switch (rng() % 8) {
-      case 0:  // hintless blocking receive: forces a full ring drain
-        got = box.dequeue_match(0, src, 5, /*src_world_hint=*/-1);
-        break;
-      case 1:  // hinted blocking receive: the cv-park Dekker handshake
-        got = box.dequeue_match(0, src, 5, src);
-        break;
-      default:
-        // Spinning hinted receive: a consumer that never parks is the
-        // regime the lock-free pop exists for (a parked consumer's
-        // wake predicate drains the rings, so everything it sees went
-        // through the bins).
-        for (;;) {
-          std::optional<Message> m = box.try_dequeue_match(0, src, 5, src);
-          if (m) {
-            got = std::move(*m);
-            break;
-          }
-          std::this_thread::yield();
-        }
-    }
-    std::size_t& expect = pick0 ? expect0 : expect1;
-    ASSERT_EQ(got.bytes, expect) << "per-sender FIFO order broken";
-    ++expect;
-    consumed[src].store(expect - 1, std::memory_order_release);
-  }
-  p0.join();
-  p1.join();
-  EXPECT_EQ(box.size(), 0u);
-  const Mailbox::FastStats s = box.fast_stats();
-  EXPECT_GT(s.fast_hits, 0u) << "consumer never used the lock-free pop";
-  EXPECT_EQ(s.fast_enqueues, s.fast_hits + s.drained);
-}
-
-TEST(MailboxFastPath, CapacityBlockedSenderRecoversViaFastPops) {
+TEST(MailboxMatching, CapacityBlockedSenderRecoversViaLockedTakes) {
   // Capacity far below the message count: the sender must park on the
-  // drain condition and be woken by lock-free pops on the other side
-  // (the try_fast_pop half of the Dekker handshake).
+  // drain condition and be woken by the receiver's takes.
   constexpr std::size_t kTotal = 20000;
   Mailbox box(/*capacity=*/96, nullptr, /*owner_rank=*/0);
   std::thread sender([&box] {
@@ -624,11 +464,158 @@ TEST(MailboxFastPath, CapacityBlockedSenderRecoversViaFastPops) {
     }
   });
   for (std::size_t i = 1; i <= kTotal; ++i) {
-    const Message got = box.dequeue_match(0, 2, 9, /*src_world_hint=*/2);
+    const Message got = box.dequeue_match(0, 2, 9);
     ASSERT_EQ(got.bytes, i);
   }
   sender.join();
   EXPECT_EQ(box.size(), 0u);
+}
+
+// ---- Cross-thread stress ----------------------------------------------------
+//
+// Real OS threads on one mailbox (and, below, one thread-backend world).
+// Besides the order checks, these are the cases the ThreadSanitizer CI job
+// leans on for the mailbox's blocking handoffs and for payload buffers
+// released on a thread other than the one that acquired them.
+
+TEST(MailboxStress, CrossThreadProducersKeepPerSenderOrder) {
+  // Four producers feed one consumer through a box far smaller than the
+  // traffic, so senders block on capacity throughout.  Producer s sends
+  // ids 1..kPerSender with tag id % kTags.  The consumer mixes blocking
+  // wildcard receives, blocking probes followed by the exact receive of
+  // the probed envelope, and non-blocking targeted receives (exact, or
+  // any-tag from one source).  Checks:
+  //   - per-sender FIFO: each source's ids arrive as 1, 2, 3, ...;
+  //   - arrival order: the mailbox stamps every message with its global
+  //     arrival sequence, and a full-wildcard receive takes the earliest
+  //     queued message, so every later take carries a larger stamp.
+  // The targeted receives never block: with a full box, waiting for one
+  // particular sender could wait on a sender that is itself blocked on
+  // capacity.  A miss falls back to a blocking wildcard receive.
+  constexpr int kProducers = 4;
+  constexpr int kTags = 3;
+  constexpr std::size_t kPerSender = 5000;
+  Mailbox box(/*capacity=*/8, nullptr, /*owner_rank=*/0);
+
+  std::vector<std::thread> producers;
+  producers.reserve(kProducers);
+  for (int s = 0; s < kProducers; ++s) {
+    producers.emplace_back([&box, s] {
+      try {
+        for (std::size_t i = 1; i <= kPerSender; ++i) {
+          box.enqueue(make_msg(0, s, static_cast<int>(i % kTags), i));
+        }
+      } catch (const mpi::AbortedError&) {
+        // The consumer poisons the box after a failed check, so that a
+        // sender blocked on capacity returns instead of hanging the join.
+      }
+    });
+  }
+
+  std::vector<std::size_t> next(kProducers, 1);
+  std::size_t remaining = kProducers * kPerSender;
+  std::uint64_t floor_seq = 0;  // stamp of the last full-wildcard take
+  bool have_floor = false;
+  std::mt19937 rng(2024);
+  auto in_order = [&](const Message& m, bool full_wildcard) {
+    if (m.src < 0 || m.src >= kProducers) return false;
+    std::size_t& want = next[static_cast<std::size_t>(m.src)];
+    if (m.bytes != want || (have_floor && m.seq <= floor_seq)) return false;
+    if (full_wildcard) {
+      floor_seq = m.seq;
+      have_floor = true;
+    }
+    ++want;
+    --remaining;
+    return true;
+  };
+
+  bool ok = true;
+  while (ok && remaining > 0) {
+    const unsigned kind = rng() % 10;
+    if (kind < 3) {
+      ok = in_order(box.dequeue_match(0, kAnySource, kAnyTag), true);
+    } else if (kind < 5) {
+      // The probed envelope is the earliest queued message, and the exact
+      // receive that follows must take that same message.
+      const mpi::Status st = box.probe(0, kAnySource, kAnyTag);
+      const Message got = box.dequeue_match(0, st.source, st.tag);
+      ok = got.bytes == st.bytes && in_order(got, true);
+    } else {
+      int s = static_cast<int>(rng() % kProducers);
+      for (int k = 0; k < kProducers && next[static_cast<std::size_t>(s)] >
+                                            kPerSender; ++k) {
+        s = (s + 1) % kProducers;
+      }
+      const std::size_t want = next[static_cast<std::size_t>(s)];
+      const int tag = kind < 8 ? static_cast<int>(want % kTags) : kAnyTag;
+      if (std::optional<Message> got = box.try_dequeue_match(0, s, tag)) {
+        ok = in_order(*got, false);
+      } else {
+        ok = in_order(box.dequeue_match(0, kAnySource, kAnyTag), true);
+      }
+    }
+  }
+  if (!ok) {
+    box.poison(std::make_shared<const fault::AbortInfo>(
+        fault::AbortInfo{.origin_rank = 0, .reason = "order check failed"}));
+  }
+  for (std::thread& t : producers) t.join();
+  ASSERT_TRUE(ok) << "per-sender FIFO or arrival order broken after "
+                  << kProducers * kPerSender - remaining << " takes";
+  EXPECT_EQ(box.size(), 0u);
+}
+
+TEST(MailboxStress, ThreadWorldIsendAndWildcardRecvKeepPerSenderOrder) {
+  // np=8 on the thread backend: every rank isends kRounds pooled-size
+  // payloads to every peer, then receives them all with any-source,
+  // any-tag receives.  Each payload is stamped with its sender and round,
+  // so a receive checks integrity and per-sender order.  The receiver
+  // frees each pooled buffer that its sender acquired on another thread.
+  constexpr int kRanks = 8;
+  constexpr int kRounds = 32;  // stamp = sender * 32 + round fits a byte
+  constexpr std::size_t kBytes = 512;  // above the inline tier: pooled
+  mpi::WorldConfig wc;
+  wc.cluster = net::ClusterSpec::frontera();
+  wc.tuning = net::MpiTuning::mvapich2();
+  wc.nranks = kRanks;
+  wc.ppn = kRanks;
+  wc.sched = sched::Mode::kThreads;
+  mpi::World w(wc);
+  std::atomic<int> bad{0};
+  w.run([&](mpi::Comm& c) {
+    const int me = c.rank();
+    std::vector<std::vector<std::byte>> sbufs;
+    std::vector<mpi::Request> reqs;
+    sbufs.reserve(static_cast<std::size_t>(kRounds * (kRanks - 1)));
+    for (int round = 0; round < kRounds; ++round) {
+      for (int peer = 0; peer < kRanks; ++peer) {
+        if (peer == me) continue;
+        sbufs.emplace_back(kBytes, static_cast<std::byte>(me * kRounds + round));
+        reqs.push_back(c.isend(
+            mpi::ConstView{sbufs.back().data(), kBytes}, peer, round));
+      }
+    }
+    std::vector<int> next_round(kRanks, 0);
+    std::vector<std::byte> rbuf(kBytes);
+    for (int k = 0; k < kRounds * (kRanks - 1); ++k) {
+      const mpi::Status st =
+          c.recv(mpi::MutView{rbuf.data(), kBytes}, kAnySource, kAnyTag);
+      int& expect = next_round[static_cast<std::size_t>(st.source)];
+      const auto stamp = static_cast<std::byte>(st.source * kRounds + expect);
+      if (st.tag != expect || st.bytes != kBytes ||
+          std::any_of(rbuf.begin(), rbuf.end(),
+                      [&](std::byte b) { return b != stamp; })) {
+        bad.fetch_add(1, std::memory_order_relaxed);
+      }
+      ++expect;
+    }
+    for (mpi::Request& r : reqs) r.wait();
+  });
+  EXPECT_EQ(bad.load(), 0) << "a wildcard receive broke per-sender order "
+                              "or delivered a corrupted payload";
+  EXPECT_EQ(w.engine().payload_pool().outstanding(), 0u)
+      << "pooled payload buffers leaked across threads";
 }
 
 // ---- PayloadPool ------------------------------------------------------------

@@ -24,11 +24,15 @@ net::ClusterSpec cluster_by_name(const std::string& name) {
   return net::ClusterSpec::ri2_gpu();
 }
 
+// Holds no pointer: gtest prints the raw bytes of a parameter that has no
+// operator<<, and ctest takes its test names from that listing, so a heap
+// pointer here (std::string) would give every run a different test name.
 struct MatrixCase {
-  std::string cluster;
+  char cluster[32];
   Mode mode;
   buffers::BufferKind buffer;
 };
+static_assert(sizeof(MatrixCase) == 40);
 
 std::string case_name(const MatrixCase& c) {
   std::string m = core::to_string(c.mode);
