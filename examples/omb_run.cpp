@@ -7,9 +7,9 @@
 //   $ ./omb_run latency --buffer cupy --cluster ri2-gpu --mode omb-py
 //
 // Schedule-space exploration (explore/explorer.hpp):
-//   $ ./omb_run allreduce --ft --kill 3@400 --nranks 4 --explore \
+//   $ ./omb_run allreduce --ft --kill 3@400 --nranks 4 --explore
 //         --explore-budget 32 --explore-out repro.sched
-//   $ ./omb_run allreduce --ft --kill 3@400 --nranks 4 \
+//   $ ./omb_run allreduce --ft --kill 3@400 --nranks 4
 //         --replay-schedule repro.sched
 //
 // Campaign mode (campaign/campaign.hpp): a declarative sweep spec instead

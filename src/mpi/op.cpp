@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
 
 #include "mpi/error.hpp"
 
@@ -34,30 +36,58 @@ bool valid_for(Op op, Datatype dt) noexcept {
 
 namespace {
 
+/// inout[i] = f(inout[i], in[i]).  Elements go through memcpy: the
+/// buffers are raw bytes (an RMA accumulate may sit at any displacement),
+/// so they need not be aligned for T.
+template <typename T, typename F>
+void combine(void* inout, const void* in, std::size_t count, F f) {
+  auto* dst = static_cast<unsigned char*>(inout);
+  const auto* src = static_cast<const unsigned char*>(in);
+  for (std::size_t i = 0; i < count * sizeof(T); i += sizeof(T)) {
+    T a;
+    T b;
+    std::memcpy(&a, dst + i, sizeof(T));
+    std::memcpy(&b, src + i, sizeof(T));
+    a = f(a, b);
+    std::memcpy(dst + i, &a, sizeof(T));
+  }
+}
+
+/// Integer sum/product are computed in the unsigned type: the same
+/// two's-complement bits, without signed overflow.
 template <typename T>
-void combine_arith(Op op, T* inout, const T* in, std::size_t count) {
+using Wrapping = typename std::conditional_t<std::is_integral_v<T>,
+                                             std::make_unsigned<T>,
+                                             std::type_identity<T>>::type;
+
+template <typename T>
+void combine_arith(Op op, void* inout, const void* in, std::size_t count) {
   switch (op) {
     case Op::kSum:
-      for (std::size_t i = 0; i < count; ++i) inout[i] += in[i];
+      combine<T>(inout, in, count, [](T a, T b) {
+        return static_cast<T>(Wrapping<T>(a) + Wrapping<T>(b));
+      });
       break;
     case Op::kProd:
-      for (std::size_t i = 0; i < count; ++i) inout[i] *= in[i];
+      combine<T>(inout, in, count, [](T a, T b) {
+        return static_cast<T>(Wrapping<T>(a) * Wrapping<T>(b));
+      });
       break;
     case Op::kMin:
-      for (std::size_t i = 0; i < count; ++i)
-        inout[i] = std::min(inout[i], in[i]);
+      combine<T>(inout, in, count, [](T a, T b) { return std::min(a, b); });
       break;
     case Op::kMax:
-      for (std::size_t i = 0; i < count; ++i)
-        inout[i] = std::max(inout[i], in[i]);
+      combine<T>(inout, in, count, [](T a, T b) { return std::max(a, b); });
       break;
     case Op::kLand:
-      for (std::size_t i = 0; i < count; ++i)
-        inout[i] = static_cast<T>((inout[i] != T{}) && (in[i] != T{}));
+      combine<T>(inout, in, count, [](T a, T b) {
+        return static_cast<T>((a != T{}) && (b != T{}));
+      });
       break;
     case Op::kLor:
-      for (std::size_t i = 0; i < count; ++i)
-        inout[i] = static_cast<T>((inout[i] != T{}) || (in[i] != T{}));
+      combine<T>(inout, in, count, [](T a, T b) {
+        return static_cast<T>((a != T{}) || (b != T{}));
+      });
       break;
     default:
       throw Error("bitwise op applied to non-integer combine path");
@@ -65,16 +95,18 @@ void combine_arith(Op op, T* inout, const T* in, std::size_t count) {
 }
 
 template <typename T>
-void combine_bitwise(Op op, T* inout, const T* in, std::size_t count) {
+void combine_bitwise(Op op, void* inout, const void* in, std::size_t count) {
   switch (op) {
     case Op::kBand:
-      for (std::size_t i = 0; i < count; ++i) inout[i] &= in[i];
+      combine<T>(inout, in, count,
+                 [](T a, T b) { return static_cast<T>(a & b); });
       break;
     case Op::kBor:
-      for (std::size_t i = 0; i < count; ++i) inout[i] |= in[i];
+      combine<T>(inout, in, count,
+                 [](T a, T b) { return static_cast<T>(a | b); });
       break;
     default:
-      combine_arith(op, inout, in, count);
+      combine_arith<T>(op, inout, in, count);
       break;
   }
 }
@@ -89,28 +121,22 @@ std::size_t apply(Op op, Datatype dt, void* inout, const void* in,
   switch (dt) {
     case Datatype::kByte:
     case Datatype::kChar:
-      combine_bitwise(op, static_cast<std::uint8_t*>(inout),
-                      static_cast<const std::uint8_t*>(in), count);
+      combine_bitwise<std::uint8_t>(op, inout, in, count);
       break;
     case Datatype::kInt32:
-      combine_bitwise(op, static_cast<std::int32_t*>(inout),
-                      static_cast<const std::int32_t*>(in), count);
+      combine_bitwise<std::int32_t>(op, inout, in, count);
       break;
     case Datatype::kInt64:
-      combine_bitwise(op, static_cast<std::int64_t*>(inout),
-                      static_cast<const std::int64_t*>(in), count);
+      combine_bitwise<std::int64_t>(op, inout, in, count);
       break;
     case Datatype::kUint64:
-      combine_bitwise(op, static_cast<std::uint64_t*>(inout),
-                      static_cast<const std::uint64_t*>(in), count);
+      combine_bitwise<std::uint64_t>(op, inout, in, count);
       break;
     case Datatype::kFloat:
-      combine_arith(op, static_cast<float*>(inout),
-                    static_cast<const float*>(in), count);
+      combine_arith<float>(op, inout, in, count);
       break;
     case Datatype::kDouble:
-      combine_arith(op, static_cast<double*>(inout),
-                    static_cast<const double*>(in), count);
+      combine_arith<double>(op, inout, in, count);
       break;
   }
   return count;

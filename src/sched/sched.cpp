@@ -1,8 +1,10 @@
 #include "sched/sched.hpp"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
+#if !defined(__x86_64__)
+#include <ucontext.h>
+#endif
 
 #include <algorithm>
 #include <chrono>
@@ -46,6 +48,14 @@ std::size_t default_stack_bytes() noexcept {
   return bytes;
 }
 
+/// One pooled stack mapping: a PROT_NONE guard page below the stack.
+std::size_t stack_map_bytes() noexcept {
+  static const std::size_t bytes =
+      page_size() +
+      (default_stack_bytes() + page_size() - 1) / page_size() * page_size();
+  return bytes;
+}
+
 }  // namespace
 
 bool sanitizers_active() noexcept {
@@ -64,10 +74,10 @@ bool sanitizers_active() noexcept {
 
 Mode resolve(Mode m) noexcept {
   // The sanitizers' happens-before and shadow-stack machinery does not
-  // follow swapcontext, so instrumented builds run thread-per-rank even
-  // when fibers were requested explicitly — degrading beats reporting
-  // false races from every stack switch.  Determinism makes the swap
-  // unobservable in benchmark output.
+  // follow fiber stack switches, so instrumented builds run
+  // thread-per-rank even when fibers were requested explicitly —
+  // degrading beats reporting false races from every stack switch.
+  // Determinism makes the swap unobservable in benchmark output.
   if (sanitizers_active()) return Mode::kThreads;
   if (m != Mode::kAuto) return m;
   if (const char* e = std::getenv("OMBX_SCHED")) {
@@ -104,6 +114,145 @@ std::uintptr_t exec_id() noexcept {
   return reinterpret_cast<std::uintptr_t>(&tls_exec_marker);
 }
 
+// ---- Context switch ---------------------------------------------------------
+
+#if defined(__x86_64__)
+// A suspended context is just its stack pointer: the switch pushes the
+// SysV callee-saved registers (rbx, rbp, r12-r15), MXCSR and the x87
+// control word onto the outgoing stack, stores sp, loads the other sp and
+// pops the same set.  This is the design of boost.context's fcontext
+// (jump_fcontext/make_fcontext, Oliver Kowalke); unlike glibc swapcontext
+// it makes no rt_sigprocmask syscall.  It is not CET shadow-stack aware,
+// so a process must not turn user shadow stacks on (glibc leaves them off
+// unless asked).
+//
+// Frame layout, from the saved sp upwards:
+//   [0] mxcsr (4 B) + x87 cw (2 B)  [8] r12  [16] r13  [24] r14  [32] r15
+//   [40] rbx  [48] rbp  [56] return address
+// A fresh fiber's frame "returns" into ombx_sched_entry with r12 = the
+// Fiber* and r13 = fiber_main; the stub marks the bottom of the call
+// chain (.cfi_undefined rip) so unwinders and gdb stop there.
+extern "C" {
+void ombx_sched_jump(void** save_sp, void* load_sp)
+    __attribute__((visibility("hidden")));
+void ombx_sched_entry() __attribute__((visibility("hidden")));
+}
+
+asm(R"(
+  .text
+  .globl ombx_sched_jump
+  .hidden ombx_sched_jump
+  .type ombx_sched_jump,@function
+  .p2align 4
+ombx_sched_jump:
+  .cfi_startproc
+  pushq %rbp
+  pushq %rbx
+  pushq %r15
+  pushq %r14
+  pushq %r13
+  pushq %r12
+  leaq -8(%rsp), %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  leaq 8(%rsp), %rsp
+  popq %r12
+  popq %r13
+  popq %r14
+  popq %r15
+  popq %rbx
+  popq %rbp
+  ret
+  .cfi_endproc
+  .size ombx_sched_jump,.-ombx_sched_jump
+
+  .globl ombx_sched_entry
+  .hidden ombx_sched_entry
+  .type ombx_sched_entry,@function
+  .p2align 4
+ombx_sched_entry:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  call *%r13
+  ud2
+  .cfi_endproc
+  .size ombx_sched_entry,.-ombx_sched_entry
+)");
+
+namespace {
+
+/// Runs a fiber's rank body; the first jump into a fiber lands here.
+[[noreturn]] void fiber_main(Fiber* f);
+
+struct Context {
+  void* sp = nullptr;
+};
+
+inline void jump(Context& from, const Context& to) {
+  ombx_sched_jump(&from.sp, to.sp);
+}
+
+/// Lay out a first frame at the top of [lo, lo + bytes) that enters
+/// fiber_main(f) on the first jump, with the creating thread's
+/// floating-point control state (a new OS thread inherits it the same way).
+void make_context(Context& c, void* lo, std::size_t bytes, Fiber* f) {
+  auto* top = reinterpret_cast<std::uintptr_t*>(
+      (reinterpret_cast<std::uintptr_t>(lo) + bytes) & ~std::uintptr_t{15});
+  std::uintptr_t* frame = top - 8;  // ret lands 16-byte aligned at `top`
+  std::uint32_t mxcsr = 0;
+  std::uint16_t fpucw = 0;
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  asm volatile("fnstcw %0" : "=m"(fpucw));
+  frame[0] = mxcsr | (std::uintptr_t{fpucw} << 32);
+  frame[1] = reinterpret_cast<std::uintptr_t>(f);            // r12
+  frame[2] = reinterpret_cast<std::uintptr_t>(&fiber_main);  // r13
+  frame[3] = frame[4] = frame[5] = frame[6] = 0;  // r14 r15 rbx rbp
+  frame[7] = reinterpret_cast<std::uintptr_t>(&ombx_sched_entry);
+  c.sp = frame;
+}
+
+}  // namespace
+#else
+// Portable fallback: ucontext (one rt_sigprocmask syscall per switch).
+namespace {
+
+[[noreturn]] void fiber_main(Fiber* f);
+
+struct Context {
+  ucontext_t uc{};
+};
+
+inline void jump(Context& from, const Context& to) {
+  ::swapcontext(&from.uc, &to.uc);
+}
+
+// makecontext passes ints only; the Fiber* arrives split into two words.
+void uc_entry(unsigned hi, unsigned lo) {
+  fiber_main(reinterpret_cast<Fiber*>((static_cast<std::uintptr_t>(hi) << 32) |
+                                      static_cast<std::uintptr_t>(lo)));
+}
+
+void make_context(Context& c, void* lo, std::size_t bytes, Fiber* f) {
+  if (::getcontext(&c.uc) != 0) {
+    throw std::runtime_error("sched: getcontext failed");
+  }
+  c.uc.uc_stack.ss_sp = lo;
+  c.uc.uc_stack.ss_size = bytes;
+  c.uc.uc_link = nullptr;  // fibers exit via an explicit final switch
+  const auto self = reinterpret_cast<std::uintptr_t>(f);
+  ::makecontext(&c.uc, reinterpret_cast<void (*)()>(&uc_entry), 2,
+                static_cast<unsigned>(self >> 32),
+                static_cast<unsigned>(self & 0xffffffffu));
+}
+
+}  // namespace
+#endif
+
 // ---- Fiber ------------------------------------------------------------------
 
 /// One world being executed on the pool (stack-local in run_world).
@@ -116,7 +265,7 @@ struct WorldRun {
   std::exception_ptr first_error;  ///< first exception escaping a body
 };
 
-/// A stackful (ucontext) fiber running one rank's body.
+/// A stackful fiber running one rank's body.
 class Fiber {
  public:
   /// Park/notify handshake states.  The fiber stores kParking before it
@@ -128,42 +277,10 @@ class Fiber {
   /// slot until its context save is complete.
   enum State : int { kRunning, kParking, kParked, kNotified };
 
-  Fiber(FiberPool::Impl* pool, WorldRun* world, int rank,
-        std::size_t stack_bytes)
-      : pool_(pool), world_(world), rank_(rank) {
-    const std::size_t guard = page_size();
-    const std::size_t stack =
-        ((stack_bytes + page_size() - 1) / page_size()) * page_size();
-    map_bytes_ = guard + stack;
-    map_ = ::mmap(nullptr, map_bytes_, PROT_NONE,
-                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (map_ == MAP_FAILED) {
-      throw std::runtime_error("sched: fiber stack mmap failed");
-    }
-    // Low guard page stays PROT_NONE: stack overflow faults instead of
-    // silently corrupting the neighbouring fiber's pages.
-    if (::mprotect(static_cast<char*>(map_) + guard, stack,
-                   PROT_READ | PROT_WRITE) != 0) {
-      ::munmap(map_, map_bytes_);
-      throw std::runtime_error("sched: fiber stack mprotect failed");
-    }
-    if (::getcontext(&ctx_) != 0) {
-      ::munmap(map_, map_bytes_);
-      throw std::runtime_error("sched: getcontext failed");
-    }
-    ctx_.uc_stack.ss_sp = static_cast<char*>(map_) + guard;
-    ctx_.uc_stack.ss_size = stack;
-    ctx_.uc_link = nullptr;  // fibers exit via an explicit final swap
-    // makecontext passes ints only; split the pointer into two words.
-    const auto self = reinterpret_cast<std::uintptr_t>(this);
-    ::makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
-                  static_cast<unsigned>(self >> 32),
-                  static_cast<unsigned>(self & 0xffffffffu));
-  }
-
-  ~Fiber() {
-    if (map_ != MAP_FAILED) ::munmap(map_, map_bytes_);
-  }
+  /// Takes a stack from the pool's free list (or maps one) and lays out
+  /// the first frame; the destructor hands the stack back.
+  Fiber(FiberPool::Impl* pool, WorldRun* world, int rank);
+  ~Fiber();
 
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
@@ -175,7 +292,7 @@ class Fiber {
   /// Fiber side: swap back to the worker.  Used by both parking (state
   /// already kParking, registered in a WaitQueue) and yielding
   /// (yield_ set); returns when a worker resumes this fiber.
-  void switch_out() { ::swapcontext(&ctx_, ret_); }
+  void switch_out() { jump(ctx_, *ret_); }
 
   FiberPool::Impl* pool_;
   WorldRun* world_;
@@ -183,13 +300,9 @@ class Fiber {
   std::atomic<int> state_{kRunning};
   bool yield_ = false;  ///< fiber-side request; worker-side consumed
   bool done_ = false;
-  ucontext_t ctx_{};
-  ucontext_t* ret_ = nullptr;  ///< current worker's scheduler context
-  void* map_ = MAP_FAILED;
-  std::size_t map_bytes_ = 0;
-
- private:
-  static void trampoline(unsigned hi, unsigned lo);
+  Context ctx_;              ///< saved while switched out
+  Context* ret_ = nullptr;   ///< current worker's saved context
+  void* stack_ = nullptr;    ///< pooled mapping, guard page first
 };
 
 // ---- FiberPool --------------------------------------------------------------
@@ -215,6 +328,45 @@ struct FiberPool::Impl {
   bool workers_started_ = false;
   int nworkers_ = 0;
   std::vector<std::thread> workers_;
+
+  /// Guarded stacks of finished fibers, reused by the next world: one
+  /// size only (stack_map_bytes), unmapped when the pool dies.
+  std::mutex stacks_m_;
+  std::vector<void*> free_stacks_;
+
+  ~Impl() {
+    for (void* s : free_stacks_) ::munmap(s, stack_map_bytes());
+  }
+
+  void* take_stack() {
+    {
+      std::lock_guard<std::mutex> lk(stacks_m_);
+      if (!free_stacks_.empty()) {
+        void* s = free_stacks_.back();
+        free_stacks_.pop_back();
+        return s;
+      }
+    }
+    const std::size_t guard = page_size();
+    void* s = ::mmap(nullptr, stack_map_bytes(), PROT_NONE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (s == MAP_FAILED) {
+      throw std::runtime_error("sched: fiber stack mmap failed");
+    }
+    // Low guard page stays PROT_NONE: stack overflow faults instead of
+    // silently corrupting the neighbouring fiber's pages.
+    if (::mprotect(static_cast<char*>(s) + guard, stack_map_bytes() - guard,
+                   PROT_READ | PROT_WRITE) != 0) {
+      ::munmap(s, stack_map_bytes());
+      throw std::runtime_error("sched: fiber stack mprotect failed");
+    }
+    return s;
+  }
+
+  void give_stack(void* s) {
+    std::lock_guard<std::mutex> lk(stacks_m_);
+    free_stacks_.push_back(s);
+  }
 
   int resolve_workers() {
     int n = static_cast<int>(std::thread::hardware_concurrency());
@@ -256,7 +408,7 @@ struct FiberPool::Impl {
   }
 
   void worker_loop() {
-    ucontext_t worker_ctx;
+    Context worker_ctx;
     for (;;) {
       Fiber* f = nullptr;
       {
@@ -273,7 +425,7 @@ struct FiberPool::Impl {
       f->ret_ = &worker_ctx;
       f->state_.store(Fiber::kRunning, std::memory_order_seq_cst);
       tls_fiber = f;
-      ::swapcontext(&worker_ctx, &f->ctx_);
+      jump(worker_ctx, f->ctx_);
       tls_fiber = nullptr;
       // The fiber's context is fully saved from here on — only now may it
       // become resumable again.
@@ -328,10 +480,17 @@ struct FiberPool::Impl {
   }
 };
 
-void Fiber::trampoline(unsigned hi, unsigned lo) {
-  auto* f = reinterpret_cast<Fiber*>(
-      (static_cast<std::uintptr_t>(hi) << 32) |
-      static_cast<std::uintptr_t>(lo));
+Fiber::Fiber(FiberPool::Impl* pool, WorldRun* world, int rank)
+    : pool_(pool), world_(world), rank_(rank), stack_(pool->take_stack()) {
+  make_context(ctx_, static_cast<char*>(stack_) + page_size(),
+               stack_map_bytes() - page_size(), this);
+}
+
+Fiber::~Fiber() { pool_->give_stack(stack_); }
+
+namespace {
+
+void fiber_main(Fiber* f) {
   try {
     (*f->world_->body)(f->rank_);
   } catch (...) {
@@ -345,8 +504,10 @@ void Fiber::trampoline(unsigned hi, unsigned lo) {
   }
   f->done_ = true;
   f->switch_out();
-  // Unreachable: a done fiber is never resumed.
+  std::abort();  // a done fiber is never resumed
 }
+
+}  // namespace
 
 FiberPool::FiberPool() : impl_(std::make_unique<Impl>()) {}
 
@@ -369,15 +530,12 @@ int FiberPool::active() {
 }
 
 void FiberPool::run_world(int nranks, const std::function<void(int)>& body,
-                          const std::function<double(int)>& vtime,
-                          std::size_t stack_bytes) {
+                          const std::function<double(int)>& vtime) {
   if (tls_fiber != nullptr) {
     throw std::logic_error("sched: run_world called from inside a fiber");
   }
   if (nranks <= 0) return;
   impl_->ensure_workers();
-  const std::size_t stack =
-      stack_bytes != 0 ? stack_bytes : default_stack_bytes();
 
   WorldRun world;
   world.body = &body;
@@ -387,8 +545,7 @@ void FiberPool::run_world(int nranks, const std::function<void(int)>& body,
   std::vector<std::unique_ptr<Fiber>> fibers;
   fibers.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
-    fibers.push_back(
-        std::make_unique<Fiber>(impl_.get(), &world, r, stack));
+    fibers.push_back(std::make_unique<Fiber>(impl_.get(), &world, r));
   }
   {
     std::lock_guard<std::mutex> lk(impl_->qm_);

@@ -4,10 +4,16 @@
 // Why fibers: the engine's determinism contract prices everything in
 // virtual microseconds, so a rank is just a deterministic state machine
 // between blocking points — it does not need an OS thread of its own.
-// Mapping each rank onto a ucontext fiber bounds host threads by the
-// worker-pool size instead of np, which is what makes paper-scale worlds
+// Mapping each rank onto a fiber bounds host threads by the worker-pool
+// size instead of np, which is what makes paper-scale worlds
 // (np = 224 ML figures, np >= 1024 collective sweeps) and campaign
 // concurrency (cells x np) tractable on a laptop-class host.
+//
+// Fibers: on x86-64 a context switch is a hand-written register swap
+// (callee-saved registers, MXCSR and the x87 control word — the
+// boost.context fcontext design), with no syscall; other platforms fall
+// back to ucontext.  Fiber stacks are guarded mappings kept on a pool free
+// list, so a World::run after the first maps nothing.
 //
 // Scheduling: a process-wide FiberPool owns the workers and a run queue
 // ordered by next virtual event — entries are keyed by the rank's virtual
@@ -35,7 +41,8 @@
 // Mode selection: Mode::kAuto resolves to fibers; the OMBX_SCHED
 // environment variable (threads|fibers) overrides.  ThreadSanitizer /
 // AddressSanitizer builds force threads no matter what was requested —
-// the sanitizers do not understand swapcontext stack switches.
+// the sanitizers do not understand fiber stack switches (UBSan does not
+// care, so UBSan builds keep fibers).
 // Tunables: OMBX_SCHED_WORKERS (pool size, default hardware
 // concurrency), OMBX_FIBER_STACK_KB (per-fiber stack, default 512).
 #pragma once
@@ -59,7 +66,8 @@ enum class Mode { kAuto, kThreads, kFibers };
 /// Resolve kAuto: OMBX_SCHED env override, else fibers.  Explicit modes
 /// pass through — except under TSan/ASan builds, where every request
 /// (even explicit kFibers) degrades to threads: the sanitizers cannot
-/// follow swapcontext, and determinism makes the swap unobservable.
+/// follow fiber stack switches, and determinism makes the swap
+/// unobservable.
 [[nodiscard]] Mode resolve(Mode m) noexcept;
 
 /// Parse "auto" / "threads" / "fibers"; throws std::invalid_argument.
@@ -108,13 +116,12 @@ class FiberPool {
   /// Run `body(rank)` for ranks 0..nranks-1 as fibers; blocks the calling
   /// thread until every fiber finishes.  `vtime(rank)` samples the rank's
   /// virtual clock for run-queue ordering (called only while the rank is
-  /// parked or before it starts, so a plain read is race-free).
-  /// `stack_bytes` == 0 selects the default (OMBX_FIBER_STACK_KB).
+  /// parked or before it starts, so a plain read is race-free).  Fiber
+  /// stacks (OMBX_FIBER_STACK_KB) come from the pool's free list.
   /// Must not be called from inside a fiber (worlds do not nest onto the
   /// pool; World::run falls back to threads in that case).
   void run_world(int nranks, const std::function<void(int)>& body,
-                 const std::function<double(int)>& vtime,
-                 std::size_t stack_bytes = 0);
+                 const std::function<double(int)>& vtime);
 
   /// Worker-pool size (resolves OMBX_SCHED_WORKERS on first call).
   [[nodiscard]] int workers();

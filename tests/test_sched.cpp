@@ -1,17 +1,25 @@
 // Rank-scheduler tests (ombx::sched): mode parsing/resolution, the fiber
-// pool's basic run contract, fibers-vs-threads byte-identity of benchmark
+// pool's basic run contract, the context switch (per-fiber rounding mode,
+// aligned entry frames, unwinding after a park) and stack reuse across
+// worlds, fibers-vs-threads byte-identity of benchmark
 // rows (the determinism contract's regression gate at np = 2/8/16), a
 // np=512 smoke world proving paper-scale worlds no longer need 512 host
 // threads, fiber-mode ULFM kill/shrink recovery, and explore record/
 // replay identity on the fiber backend.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cfenv>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -64,7 +72,7 @@ TEST(SchedMode, NamesRoundTrip) {
 TEST(SchedMode, ResolveHonorsSanitizerDegradation) {
   EXPECT_EQ(sched::resolve(sched::Mode::kThreads), sched::Mode::kThreads);
   // Explicit fibers pass through, except on sanitized builds where every
-  // request degrades to threads (swapcontext is opaque to TSan/ASan).
+  // request degrades to threads (fiber switches are opaque to TSan/ASan).
   EXPECT_EQ(sched::resolve(sched::Mode::kFibers),
             sched::sanitizers_active() ? sched::Mode::kThreads
                                        : sched::Mode::kFibers);
@@ -72,7 +80,9 @@ TEST(SchedMode, ResolveHonorsSanitizerDegradation) {
   // on sanitizer instrumentation and OMBX_SCHED, both host properties).
   const sched::Mode r = sched::resolve(sched::Mode::kAuto);
   EXPECT_TRUE(r == sched::Mode::kThreads || r == sched::Mode::kFibers);
-  if (sched::sanitizers_active()) EXPECT_EQ(r, sched::Mode::kThreads);
+  if (sched::sanitizers_active()) {
+    EXPECT_EQ(r, sched::Mode::kThreads);
+  }
 }
 
 // ---- FiberPool basics -------------------------------------------------------
@@ -124,6 +134,149 @@ TEST(FiberPool, ExecIdDistinguishesFibersOnOneWorker) {
   // Off-fiber, exec_id still returns a stable non-fiber identity.
   EXPECT_EQ(sched::current_fiber(), nullptr);
   EXPECT_EQ(sched::exec_id(), sched::exec_id());
+}
+
+namespace {
+
+/// 1/3 rounded by the current mode; volatile keeps it a runtime SSE
+/// division (MXCSR), while fegetround reads the x87 control word.
+double third() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+
+}  // namespace
+
+TEST(FiberPool, RoundingModeIsPerFiberAcrossParks) {
+  // Rank 0 switches to FE_UPWARD and parks; rank 1 runs meanwhile (on
+  // the same worker when there is only one) and must still see the
+  // default mode, and rank 0 must get its own mode back on resume.
+  OMBX_SKIP_IF_SANITIZED();
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = third();
+  std::fesetround(FE_UPWARD);
+  const double upward = third();
+  std::fesetround(FE_TONEAREST);
+  ASSERT_NE(nearest, upward);
+
+  std::mutex m;
+  sched::WaitQueue wq;
+  bool ready = false;
+  bool go = false;
+  std::array<int, 4> mode_before{};
+  std::array<int, 4> mode_after{};
+  std::array<double, 4> value_after{};
+  sched::FiberPool::instance().run_world(
+      4,
+      [&](int r) {
+        const auto i = static_cast<std::size_t>(r);
+        mode_before[i] = std::fegetround();
+        std::unique_lock<std::mutex> lk(m);
+        if (r == 0) {
+          std::fesetround(FE_UPWARD);
+          ready = true;
+          wq.notify_all();
+          wq.wait(lk, [&] { return go; });  // parks: go needs rank 1
+        } else if (r == 1) {
+          wq.wait(lk, [&] { return ready; });
+          go = true;
+          wq.notify_all();
+        }
+        mode_after[i] = std::fegetround();
+        value_after[i] = third();
+      },
+      [](int) { return 0.0; });
+  EXPECT_EQ(mode_after[0], FE_UPWARD);
+  EXPECT_EQ(value_after[0], upward);
+  for (std::size_t i = 1; i < 4; ++i) {
+    EXPECT_EQ(mode_before[i], FE_TONEAREST) << "rank " << i;
+    EXPECT_EQ(mode_after[i], FE_TONEAREST) << "rank " << i;
+    EXPECT_EQ(value_after[i], nearest) << "rank " << i;
+  }
+  // Rank 0 finished in FE_UPWARD; neither the caller nor the next world's
+  // fibers (on the same workers and stacks) may inherit it.
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  std::array<int, 4> next_mode{};
+  sched::FiberPool::instance().run_world(
+      4,
+      [&](int r) {
+        next_mode[static_cast<std::size_t>(r)] = std::fegetround();
+      },
+      [](int) { return 0.0; });
+  for (const int mode : next_mode) EXPECT_EQ(mode, FE_TONEAREST);
+}
+
+TEST(FiberPool, SecondWorldReusesTheFirstWorldsStacks) {
+  // Stacks go back to the pool's free list when a world ends: they stay
+  // mapped, and a second world of the same size runs on exactly the first
+  // world's stacks — the same code path puts each body's frame at the same
+  // offset from its stack top, so the two sets of frame addresses coincide.
+  OMBX_SKIP_IF_SANITIZED();
+  constexpr int kRanks = 32;
+  const auto frames = [] {
+    std::vector<std::uintptr_t> at(kRanks, 0);
+    sched::FiberPool::instance().run_world(
+        kRanks,
+        [&](int r) {
+          at[static_cast<std::size_t>(r)] =
+              reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+        },
+        [](int) { return 0.0; });
+    std::sort(at.begin(), at.end());
+    return at;
+  };
+  const std::vector<std::uintptr_t> first = frames();
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  for (const std::uintptr_t a : first) {
+    EXPECT_EQ(a % 16, 0u) << "fiber entry frame misaligned";
+    unsigned char resident = 0;
+    // mincore fails with ENOMEM on an unmapped range.
+    EXPECT_EQ(::mincore(reinterpret_cast<void*>(a & ~(page - 1)), page,
+                        &resident),
+              0)
+        << "stack unmapped after its world ended";
+  }
+  const std::vector<std::uintptr_t> second = frames();
+  EXPECT_EQ(std::adjacent_find(first.begin(), first.end()), first.end())
+      << "two fibers shared a stack";
+  EXPECT_EQ(first, second);
+}
+
+namespace {
+
+[[noreturn]] void throw_from_depth(int depth) {
+  if (depth == 0) throw std::runtime_error("deep");
+  throw_from_depth(depth - 1);
+}
+
+}  // namespace
+
+TEST(FiberPool, ExceptionsUnwindAfterParkAndResume) {
+  // Ranks park on a gate until all have arrived (so they may resume on a
+  // different worker), then throw through several frames and catch.
+  OMBX_SKIP_IF_SANITIZED();
+  constexpr int kRanks = 8;
+  std::mutex m;
+  sched::WaitQueue wq;
+  int arrived = 0;
+  std::vector<std::string> caught(kRanks);
+  sched::FiberPool::instance().run_world(
+      kRanks,
+      [&](int r) {
+        {
+          std::unique_lock<std::mutex> lk(m);
+          if (++arrived == kRanks) wq.notify_all();
+          wq.wait(lk, [&] { return arrived == kRanks; });
+        }
+        try {
+          throw_from_depth(r + 1);
+        } catch (const std::runtime_error& e) {
+          caught[static_cast<std::size_t>(r)] = e.what();
+        }
+      },
+      [](int) { return 0.0; });
+  for (const std::string& what : caught) EXPECT_EQ(what, "deep");
 }
 
 // ---- Fibers-vs-threads byte-identity ---------------------------------------
