@@ -35,8 +35,9 @@ void prefix_core(Comm& c, ConstView send, MutView acc, Scratch* pre,
     const int from = rank - dist;
     Request sreq;
     if (to < n) {
+      // Buffered: `acc` is combined into below, before sreq.wait().
       sreq = c.isend(detail::slice(detail::as_const(acc), 0, bytes), to,
-                     kTagScan);
+                     kTagScan, SendBuffering::kBuffered);
     }
     if (from >= 0) {
       (void)c.recv(incoming.mview(), from, kTagScan);

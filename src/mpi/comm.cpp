@@ -64,18 +64,16 @@ void Comm::send(ConstView v, int dst, int tag) const {
                   check::Checker::Access::kRead, "send");
   }
   // Blocking send parks on the cell until the receiver is done with `v`,
-  // which is what licenses the zero-copy rendezvous path.  isend (below)
-  // must stay buffered: its caller may mutate or free `v` before wait().
+  // so rendezvous goes zero-copy.
   auto cell = engine_->post_send(my_world_, world_rank(dst), context_,
-                                 my_rank_, tag, v, /*force_payload=*/false,
-                                 SendBuffering::kZeroCopy);
+                                 my_rank_, tag, v);
   if (cell) engine_->await_cell(my_world_, *cell);
 }
 
 Status Comm::recv(MutView v, int src, int tag) const {
   if (auto* chk = engine_->checker()) {
-    // Writing over a range a pending isend conceptually still reads is
-    // the hazard (our isends copy at post time, but real MPI's need not).
+    // Writing over a range a pending isend still reads is the hazard:
+    // rendezvous isends are zero-copy, so the peer may not have read it.
     chk->on_touch(my_world_, context_, v.data, v.bytes,
                   check::Checker::Access::kWrite, "recv");
   }
@@ -91,7 +89,8 @@ Status Comm::sendrecv(ConstView s, int dst, int stag, MutView r, int src,
   return st;
 }
 
-Request Comm::isend(ConstView v, int dst, int tag) const {
+Request Comm::isend(ConstView v, int dst, int tag,
+                    SendBuffering buffering) const {
   OMBX_REQUIRE_AT(tag >= 0, "user tags must be non-negative", my_world_,
                   context_);
   // Pin + ticket before posting so a hazardous isend is flagged before
@@ -109,8 +108,11 @@ Request Comm::isend(ConstView v, int dst, int tag) const {
     ticket = std::make_shared<check::OpTicket>(*chk, my_world_, context_,
                                                pin, desc);
   }
+  // Zero-copy unless the caller said otherwise: the receiver reads `v`
+  // until wait(), and a Request dropped unwaited releases it (request.hpp).
   auto cell = engine_->post_send(my_world_, world_rank(dst), context_,
-                                 my_rank_, tag, v);
+                                 my_rank_, tag, v, /*force_payload=*/false,
+                                 buffering);
   Request r = Request::make_send(*this, std::move(cell));
   r.ticket_ = std::move(ticket);
   return r;

@@ -50,7 +50,12 @@ class Comm {
 
   // ---- Non-blocking point-to-point ---------------------------------------
 
-  [[nodiscard]] Request isend(ConstView v, int dst, int tag) const;
+  /// Rendezvous isends read `v` in place until wait(), so `v` must stay
+  /// alive and unmodified until then (MPI's rule).  Internal staging that
+  /// breaks that rule passes SendBuffering::kBuffered.
+  [[nodiscard]] Request isend(
+      ConstView v, int dst, int tag,
+      SendBuffering buffering = SendBuffering::kZeroCopy) const;
   [[nodiscard]] Request irecv(MutView v, int src, int tag) const;
 
   // ---- Probes --------------------------------------------------------------

@@ -112,14 +112,15 @@ std::shared_ptr<SyncCell> Engine::post_send(int src_world, int dst_world,
                      : model_.protocol(link, v.bytes);
 
   const bool eager = msg.protocol == net::Protocol::kEager;
+  // Zero-copy rendezvous: the sender keeps `v` alive until the cell
+  // completes, so the receiver reads it in place (set on the cell below).
+  bool zero_copy = false;
   if ((payload_ == PayloadMode::kReal || force_payload) &&
       v.data != nullptr && v.bytes > 0) {
     if (eager || buffering == SendBuffering::kBuffered) {
       msg.payload = pool_.acquire_copy(v.data, v.bytes);
     } else {
-      // Blocking-send rendezvous: the sender stays parked on the SyncCell
-      // for the whole transfer, so the receiver can read `v` in place.
-      msg.zero_copy_src = v;
+      zero_copy = true;
     }
   }
 
@@ -193,6 +194,10 @@ std::shared_ptr<SyncCell> Engine::post_send(int src_world, int dst_world,
     cell->ctx = ctx;
     cell->peer = dst_world;
     cell->tag = tag;
+    if (zero_copy) {
+      cell->src = v;
+      cell->pool = &pool_;
+    }
     msg.sync = cell;
     {
       std::lock_guard<std::mutex> lk(cells_mutex_);
@@ -317,23 +322,24 @@ Status Engine::recv(int self_world, int ctx, int src_comm_rank, int tag,
 
   // Copy out whatever physically travelled (control-plane messages carry
   // payload even in synthetic mode).  This MUST precede the SyncCell
-  // completion below: a zero-copy source buffer is only pinned while its
-  // sender is still blocked on the cell.
+  // completion below: a zero-copy source is only pinned while the cell
+  // is incomplete.
   if (v.data != nullptr) {
-    if (msg.zero_copy_src.data != nullptr) {
-      // Claim the transfer so an abort cannot unwind the sender (freeing
-      // the buffer) mid-copy; a false claim means the cell is already
-      // poisoned and the buffer may be gone — skip the bytes, the abort
-      // surfaces at this rank's next substrate call.
-      const bool claimed = msg.sync && msg.sync->begin_transfer();
-      if (msg.sync && oracle_ != nullptr) {
+    if (msg.zero_copy()) {
+      // Claim the transfer so the sender cannot let go of the buffer
+      // mid-copy; a failed claim means the cell is already poisoned and
+      // the buffer may be gone — skip the bytes, the abort surfaces at
+      // this rank's next substrate call.
+      const std::byte* from = msg.sync->begin_transfer();
+      const bool claimed = from != nullptr;
+      if (oracle_ != nullptr) {
         oracle_->record_claim(self_world, ctx, claimed);
         if (metrics_) {
           obs::bump(metrics_->rank(self_world).sched_rendezvous_claims);
         }
       }
       if (claimed) {
-        std::memcpy(v.data, msg.zero_copy_src.data, msg.bytes);
+        std::memcpy(v.data, from, msg.bytes);
       } else if (checker_ && !aborted_.load(std::memory_order_acquire)) {
         // A failed claim with no abort pending means the sender's buffer
         // was reclaimed while this receive still expected to read it —

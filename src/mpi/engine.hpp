@@ -54,14 +54,17 @@ enum class PayloadMode { kReal, kSynthetic };
 
 /// What post_send may assume about the caller's buffer lifetime.
 enum class SendBuffering {
-  /// The buffer may die as soon as post_send returns (isend and internal
-  /// staging): rendezvous payloads are copied into pooled storage at post
-  /// time.
-  kBuffered,
-  /// The caller blocks on the returned SyncCell until it completes
-  /// (blocking send): rendezvous goes zero-copy — the receiver reads the
-  /// sender's buffer directly and only then releases the cell.
+  /// The caller leaves the buffer alive and unmodified until the send
+  /// completes — blocking send until it returns, isend until wait(), which
+  /// is MPI's own contract.  Rendezvous goes zero-copy: the receiver reads
+  /// the sender's buffer directly and only then completes the cell.  A
+  /// sender that lets go early (failed wait, Request dropped unwaited)
+  /// goes through SyncCell::release_source, never a dangling read.
   kZeroCopy,
+  /// The buffer dies or is rewritten before the send completes (internal
+  /// staging: RMA wire messages, scan's running accumulator): rendezvous
+  /// payloads are copied into pooled storage at post time.
+  kBuffered,
 };
 
 /// Mutable per-rank simulation state.  Only the owning rank thread touches
@@ -132,14 +135,15 @@ class Engine {
   /// — used by control-plane traffic (communicator management) whose
   /// *content* the receiver genuinely needs.
   ///
-  /// `buffering` is kZeroCopy ONLY when the caller awaits the returned
-  /// cell before reusing or freeing `v` (Comm::send does; isend must not).
+  /// `buffering` says whether `v` outlives the send (see SendBuffering);
+  /// callers that reuse or free `v` before the cell completes must pass
+  /// kBuffered.
   std::shared_ptr<SyncCell> post_send(int src_world, int dst_world, int ctx,
                                       int src_comm_rank, int tag,
                                       ConstView v,
                                       bool force_payload = false,
                                       SendBuffering buffering =
-                                          SendBuffering::kBuffered);
+                                          SendBuffering::kZeroCopy);
 
   /// Blocking receive into `v`; returns completion Status.
   Status recv(int self_world, int ctx, int src_comm_rank, int tag, MutView v);
@@ -260,8 +264,9 @@ class Engine {
   /// by undelivered messages.  Called by World::run after a clean join.
   void run_check_audit();
 
-  /// Recycled payload storage for eager / buffered-rendezvous messages
-  /// (exposed for hostbench and the pool tests).
+  /// Recycled payload storage for eager and buffered-rendezvous messages
+  /// and detached zero-copy sources (exposed for hostbench and the pool
+  /// tests).
   [[nodiscard]] PayloadPool& payload_pool() noexcept { return pool_; }
 
   /// Lock-free mailbox hits and fallbacks.  The mailbox has one locked

@@ -9,7 +9,7 @@ Request Request::make_send(const Comm& c, std::shared_ptr<SyncCell> cell) {
   Request r;
   r.kind_ = Kind::kSend;
   r.comm_ = &c;
-  r.cell_ = std::move(cell);
+  r.cell_ = SenderHandle(std::move(cell));
   return r;
 }
 
@@ -38,7 +38,7 @@ Status Request::wait() {
       if (cell_) {
         comm_->engine().await_cell(comm_->world_rank(comm_->rank()),
                                    *cell_);
-        cell_.reset();
+        cell_.settle();
       }
       settle_ticket();
       kind_ = Kind::kDone;
@@ -73,7 +73,7 @@ bool Request::test() {
       }
       comm_->engine().await_cell(comm_->world_rank(comm_->rank()),
                                  *cell_);
-      cell_.reset();
+      cell_.settle();
       settle_ticket();
       kind_ = Kind::kDone;
       return true;

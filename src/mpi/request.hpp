@@ -1,7 +1,8 @@
 // Non-blocking operation handles (MPI_Request analogue).
 //
 // Semantics: an isend is injected immediately (eager) or left pending on
-// its rendezvous SyncCell (completed at wait); an irecv records its
+// its rendezvous SyncCell (completed at wait) — zero-copy, so its buffer
+// must stay untouched until then, as in MPI; an irecv records its
 // parameters and performs the matched receive at wait/test time.  Because
 // completion *times* are computed from message timestamps, deferring the
 // physical dequeue to wait() yields the same virtual time as an eagerly
@@ -47,7 +48,10 @@ class Request {
 
   Kind kind_ = Kind::kDone;
   const Comm* comm_ = nullptr;
-  std::shared_ptr<SyncCell> cell_;  // send only (rendezvous)
+  /// Send only (rendezvous).  Dropping the last copy unwaited releases the
+  /// zero-copy source (SenderHandle), so the receiver never reads a
+  /// buffer the caller is free to reuse.
+  SenderHandle cell_;
   MutView view_{};                  // recv only
   int src_ = kAnySource;
   int tag_ = kAnyTag;

@@ -70,8 +70,8 @@ void Win::issue(OpKind kind, ConstView payload, int target,
                 std::size_t target_disp, std::size_t len, Datatype dt,
                 Op op) {
   OMBX_REQUIRE(target >= 0 && target < size(), "RMA target out of range");
-  // Wire traffic stages through `msg`, which dies when issue() returns
-  // (the engine copies at post time) — checker pins on it would dangle.
+  // Wire traffic stages through `msg`, which dies when issue() returns —
+  // checker pins on it would dangle.
   check::InternalOp internal(comm_->engine().checker(),
                              comm_->world_rank(comm_->rank()));
   std::vector<std::byte> msg(kHeaderBytes + payload.bytes);
@@ -84,10 +84,11 @@ void Win::issue(OpKind kind, ConstView payload, int target,
   if (payload.data != nullptr && payload.bytes > 0) {
     std::memcpy(msg.data() + kHeaderBytes, payload.data, payload.bytes);
   }
-  // The engine copies the payload at post time, so the staging buffer may
-  // die as soon as isend returns.
-  pending_sends_.push_back(comm_->isend(
-      ConstView{msg.data(), msg.size(), payload.space}, target, kTagRmaOp));
+  // `msg` dies before fence() waits on the send: buffered, so the engine
+  // copies it at post time.
+  pending_sends_.push_back(
+      comm_->isend(ConstView{msg.data(), msg.size(), payload.space}, target,
+                   kTagRmaOp, SendBuffering::kBuffered));
   ++ops_to_target_[static_cast<std::size_t>(target)];
 }
 
@@ -132,7 +133,9 @@ void Win::service_incoming(int incoming_ops) {
         break;
       case OpKind::kGet:
         // Non-blocking: two ranks answering each other's gets must not
-        // block in a rendezvous response simultaneously.
+        // block in a rendezvous response simultaneously.  Zero-copy: the
+        // window slice is left alone until fence() waits on the send
+        // (conflicting accesses in one epoch are erroneous in MPI).
         pending_sends_.push_back(comm_->isend(
             ConstView{window_.data ? window_.data + h.disp : nullptr, h.len,
                       window_.space},

@@ -89,6 +89,55 @@ TEST_P(ScanTest, ScanWithMaxTracksRunningMaximum) {
 INSTANTIATE_TEST_SUITE_P(Sizes, ScanTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 16));
 
+// 128 KiB per rank: past every eager threshold, so each log step's send
+// of the running accumulator is a rendezvous, and the accumulator is
+// combined into before that send completes.
+class ScanRendezvousTest : public ::testing::TestWithParam<int> {};
+
+constexpr std::size_t kScanElems = 16 * 1024;
+
+std::vector<std::int64_t> scan_contribution(int rank) {
+  std::vector<std::int64_t> v(kScanElems);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = static_cast<std::int64_t>(rank + 1) *
+           static_cast<std::int64_t>(i + 1);
+  }
+  return v;
+}
+
+TEST_P(ScanRendezvousTest, InclusivePrefixSums) {
+  mpi::World w(world_cfg(GetParam()));
+  w.run([](Comm& c) {
+    const std::vector<std::int64_t> mine = scan_contribution(c.rank());
+    std::vector<std::int64_t> out(kScanElems, -1);
+    mpi::scan(c, cv(mine), mv(out), mpi::Datatype::kInt64, mpi::Op::kSum);
+    const std::int64_t r = c.rank();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const std::int64_t expect =
+          static_cast<std::int64_t>(i + 1) * (r + 1) * (r + 2) / 2;
+      ASSERT_EQ(out[i], expect) << "rank " << r << " element " << i;
+    }
+  });
+}
+
+TEST_P(ScanRendezvousTest, ExclusivePrefixSums) {
+  mpi::World w(world_cfg(GetParam()));
+  w.run([](Comm& c) {
+    const std::vector<std::int64_t> mine = scan_contribution(c.rank());
+    std::vector<std::int64_t> out(kScanElems, -77);
+    mpi::exscan(c, cv(mine), mv(out), mpi::Datatype::kInt64, mpi::Op::kSum);
+    const std::int64_t r = c.rank();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const std::int64_t expect =
+          r == 0 ? -77 : static_cast<std::int64_t>(i + 1) * r * (r + 1) / 2;
+      ASSERT_EQ(out[i], expect) << "rank " << r << " element " << i;
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, ScanRendezvousTest,
+                         ::testing::Values(3, 5, 8, 13));
+
 // ---- dims_create --------------------------------------------------------------------
 
 TEST(DimsCreate, BalancedFactorizations) {

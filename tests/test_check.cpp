@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -174,6 +175,55 @@ TEST(CheckRequests, CopiedRequestLeaksOnceAndWaitSettlesAll) {
     }
   });
   EXPECT_TRUE(violations_of(w).empty());
+}
+
+/// Rank 0 drops an unwaited 1 MiB isend (a zero-copy rendezvous), then
+/// overwrites and frees its buffer; only afterwards does rank 1 post the
+/// receive.  Returns what rank 1 got plus the checker's findings.
+std::string dropped_isend_run() {
+  constexpr std::size_t kBig = 1 << 20;
+  mpi::World w(checked_world(2, check::Mode::kReport));
+  std::string got;
+  w.run([&](Comm& c) {
+    std::vector<std::byte> token(8);
+    if (c.rank() == 0) {
+      auto buf = std::make_unique<std::vector<std::byte>>(kBig);
+      for (std::size_t i = 0; i < kBig; ++i) {
+        (*buf)[i] = static_cast<std::byte>(i * 7 + 3);
+      }
+      {
+        mpi::Request r = c.isend(cv(*buf), 1, 5);
+        (void)r;  // dropped without wait()
+      }
+      std::fill(buf->begin(), buf->end(), std::byte{0xee});
+      buf.reset();
+      c.send(cv(token), 1, 6);  // eager: rank 1 receives after the free
+    } else {
+      (void)c.recv(mv(token), 0, 6);
+      std::vector<std::byte> in(kBig);
+      (void)c.recv(mv(in), 0, 5);
+      std::size_t bad = 0;
+      for (std::size_t i = 0; i < kBig; ++i) {
+        if (in[i] != static_cast<std::byte>(i * 7 + 3)) ++bad;
+      }
+      got = "bad bytes " + std::to_string(bad);
+    }
+  });
+  for (const check::Violation& v : violations_of(w)) {
+    got += '\n';
+    got += v.to_string();
+  }
+  return got;
+}
+
+TEST(CheckRequests, DroppedZeroCopyIsendDeliversOriginalBytesAndLeaks) {
+  const std::string first = dropped_isend_run();
+  EXPECT_EQ(first.rfind("bad bytes 0\n", 0), 0U) << first;
+  EXPECT_NE(first.find("[request-leak] rank 0"), std::string::npos) << first;
+  EXPECT_NE(first.find("isend 1048576B to comm rank 1 tag 5"),
+            std::string::npos)
+      << first;
+  EXPECT_EQ(dropped_isend_run(), first);  // byte-identical rerun
 }
 
 TEST(CheckRequests, AbandonedCollRequestAbortsPeersWithAttribution) {

@@ -5,19 +5,22 @@
 // watchdog, and runner-level retry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/report.hpp"
 #include "core/runner.hpp"
 #include "mpi/collectives.hpp"
 #include "mpi/error.hpp"
+#include "mpi/request.hpp"
 #include "mpi/world.hpp"
 #include "sched/sched.hpp"
 
@@ -470,6 +473,92 @@ TEST(FaultPlan, KillAtVirtualTimePropagates) {
   EXPECT_TRUE(peer_aborted.load());
   ASSERT_NE(w.fault_plan(), nullptr);
   EXPECT_GE(w.fault_plan()->counters().kills.load(), 1U);
+}
+
+// ---- Zero-copy isend teardown ------------------------------------------------
+
+namespace {
+
+constexpr std::size_t kIsendBytes = 1 << 20;  // rendezvous on every link
+
+std::byte isend_pattern(std::size_t i) {
+  return static_cast<std::byte>(i * 13 + 1);
+}
+
+/// Overwrites its buffer with 0xee when destroyed, then raises `gone`:
+/// declared between a buffer and an isend Request, it runs after the
+/// Request is dropped, standing in for the buffer's reuse.
+struct Scribble {
+  std::vector<std::byte>& buf;
+  std::atomic<bool>& gone;
+  ~Scribble() {
+    std::fill(buf.begin(), buf.end(), std::byte{0xee});
+    gone = true;
+  }
+};
+
+/// Rank 0 posts a 1 MiB zero-copy isend to rank 1, runs past its kill
+/// time and dies on its next call, leaving the send unwaited.  Rank 1
+/// receives only once rank 0's frame is gone.  Returns rank 1's outcome
+/// and the error World::run rethrew.
+std::pair<std::string, std::string> killed_isend_run() {
+  mpi::WorldConfig wc = small_world(2, /*ppn=*/1);
+  wc.fault.kills.push_back(fault::KillSpec{0, 50.0});
+  mpi::World w(wc);
+  std::atomic<bool> gone{false};
+  std::string outcome;
+  std::string root;
+  try {
+    w.run([&](Comm& c) {
+      std::vector<std::byte> token(8);
+      if (c.rank() == 0) {
+        std::vector<std::byte> data(kIsendBytes);
+        for (std::size_t i = 0; i < data.size(); ++i) {
+          data[i] = isend_pattern(i);
+        }
+        Scribble scribble{data, gone};
+        mpi::Request r = c.isend(cv(data), 1, 5);
+        c.clock().advance(100.0);
+        c.send(cv(token), 1, 6);  // past the kill time: raises
+        ADD_FAILURE() << "the kill did not fire";
+      } else {
+        while (!gone.load()) {
+          sched::maybe_yield();
+          std::this_thread::yield();
+        }
+        std::vector<std::byte> in(kIsendBytes);
+        try {
+          (void)c.recv(mv(in), 0, 5);
+        } catch (const mpi::AbortedError& e) {
+          outcome = "aborted by rank " + std::to_string(e.origin_rank());
+          return;
+        }
+        std::size_t bad = 0;
+        for (std::size_t i = 0; i < in.size(); ++i) {
+          if (in[i] != isend_pattern(i)) ++bad;
+        }
+        outcome = "bad bytes " + std::to_string(bad);
+      }
+    });
+  } catch (const mpi::RankKilledError& e) {
+    root = e.what();
+  }
+  return {outcome, root};
+}
+
+}  // namespace
+
+TEST(AbortPropagation, KilledSenderPendingIsendNeverDeliversGarbage) {
+  // The kill aborts the world while rank 0's isend is unwaited: rank 1
+  // either reads the bytes rank 0 detached while unwinding, or sees the
+  // abort — never the scribbled or freed buffer.  Which of the two
+  // depends on host timing; the root cause does not.
+  const auto [outcome, root] = killed_isend_run();
+  EXPECT_TRUE(outcome == "bad bytes 0" || outcome == "aborted by rank 0")
+      << outcome;
+  EXPECT_NE(root.find("rank killed by fault plan"), std::string::npos)
+      << root;
+  EXPECT_EQ(killed_isend_run().second, root);
 }
 
 // ---- Watchdog ---------------------------------------------------------------

@@ -6,10 +6,12 @@
 // interplay with the checker, and resilience-table determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "mpi/collectives.hpp"
 #include "mpi/error.hpp"
 #include "mpi/hierarchical.hpp"
+#include "mpi/request.hpp"
 #include "mpi/world.hpp"
 #include "sched/sched.hpp"
 
@@ -240,6 +243,138 @@ TEST(FtRevoke, RendezvousSendPostedAfterRevokeRaisesInsteadOfHanging) {
     }
   });
   EXPECT_TRUE(raised.load());
+}
+
+// ---- Zero-copy isend teardown ---------------------------------------------
+
+namespace {
+
+constexpr std::size_t kIsendBytes = 1 << 20;  // rendezvous on every link
+
+std::byte isend_pattern(std::size_t i) {
+  return static_cast<std::byte>(i * 13 + 1);
+}
+
+std::vector<std::byte> patterned(std::size_t n) {
+  std::vector<std::byte> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = isend_pattern(i);
+  return v;
+}
+
+std::string bytes_outcome(const std::vector<std::byte>& in) {
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    if (in[i] != isend_pattern(i)) ++bad;
+  }
+  return "bad bytes " + std::to_string(bad);
+}
+
+void spin_until(const std::atomic<bool>& flag) {
+  while (!flag.load()) {
+    sched::maybe_yield();
+    std::this_thread::yield();
+  }
+}
+
+/// Overwrites its buffer with 0xee when destroyed, then raises `gone`:
+/// declared between a buffer and an isend Request, it runs after the
+/// Request is dropped, standing in for the buffer's reuse.
+struct Scribble {
+  std::vector<std::byte>& buf;
+  std::atomic<bool>& gone;
+  ~Scribble() {
+    std::fill(buf.begin(), buf.end(), std::byte{0xee});
+    gone = true;
+  }
+};
+
+/// Rank 0 posts a 1 MiB zero-copy isend to rank 1, runs past its kill
+/// time and dies on its next call with the send unwaited.  Rank 1 receives
+/// only once rank 0's frame is gone.  Returns rank 1's outcome and clock.
+std::string killed_isend_run() {
+  mpi::WorldConfig wc = ft_world(2, /*ppn=*/1);
+  wc.fault.kills.push_back({0, 50.0});
+  mpi::World w(wc);
+  std::atomic<bool> gone{false};
+  std::string outcome;
+  w.run([&](Comm& c) {
+    std::vector<std::byte> token(8);
+    if (c.rank() == 0) {
+      std::vector<std::byte> data = patterned(kIsendBytes);
+      Scribble scribble{data, gone};
+      mpi::Request r = c.isend(cv(data), 1, 5);
+      c.clock().advance(100.0);
+      c.send(cv(token), 1, 6);  // past the kill time: raises
+      ADD_FAILURE() << "the kill did not fire";
+      return;
+    }
+    spin_until(gone);
+    std::vector<std::byte> in(kIsendBytes);
+    try {
+      (void)c.recv(mv(in), 0, 5);
+      outcome = bytes_outcome(in);
+    } catch (const ft::ProcFailedError& e) {
+      outcome = "proc failed: rank " + std::to_string(e.failed_rank());
+    }
+    outcome += " at t=" + std::to_string(c.now());
+  });
+  return outcome;
+}
+
+}  // namespace
+
+TEST(FtZeroCopyIsend, KilledSenderDeliversDetachedBytesOrRaises) {
+  // The send was queued before the kill in virtual time, so rank 1 may
+  // still match it after rank 0 unwound: it must read the copy rank 0
+  // detached on the way out, or raise ProcFailedError — never the
+  // scribbled buffer.  Same plan, same outcome, byte for byte.
+  const std::string first = killed_isend_run();
+  EXPECT_TRUE(first.rfind("bad bytes 0 ", 0) == 0 ||
+              first.rfind("proc failed: rank 0 ", 0) == 0)
+      << first;
+  EXPECT_EQ(killed_isend_run(), first);
+}
+
+TEST(FtZeroCopyIsend, RevokedWaitDetachesBeforeTheSenderUnwinds) {
+  // Rank 1 revokes with rank 0's isend still queued for it; rank 0's wait
+  // raises RevokedError and rank 0 reuses the buffer.  A queued match
+  // beats revocation, so rank 1 can still receive the send afterwards:
+  // it must get the original bytes.
+  const auto run_once = [] {
+    mpi::World w(ft_world(2, /*ppn=*/2));
+    std::atomic<bool> revoked{false};
+    std::atomic<bool> gone{false};
+    std::string outcome;
+    w.run([&](Comm& c) {
+      if (c.rank() == 0) {
+        std::vector<std::byte> data = patterned(kIsendBytes);
+        Scribble scribble{data, gone};
+        mpi::Request r = c.isend(cv(data), 1, 5);
+        spin_until(revoked);
+        try {
+          (void)r.wait();
+          ADD_FAILURE() << "wait on a revoked peer did not raise";
+        } catch (const ft::RevokedError&) {
+        }
+        return;
+      }
+      c.revoke();
+      revoked = true;
+      spin_until(gone);
+      std::vector<std::byte> in(kIsendBytes);
+      try {
+        (void)c.recv(mv(in), 0, 5);
+        outcome = bytes_outcome(in);
+      } catch (const ft::RevokedError&) {
+        outcome = "revoked";
+      }
+      outcome += " at t=" + std::to_string(c.now());
+    });
+    return outcome;
+  };
+  const std::string first = run_once();
+  EXPECT_EQ(first.rfind("bad bytes 0 ", 0), 0U) << first;
+  EXPECT_EQ(run_once(), first);
 }
 
 // ---- Shrink ----------------------------------------------------------------
